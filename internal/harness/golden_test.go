@@ -19,34 +19,49 @@ func goldenOptions(buf *bytes.Buffer) Options {
 	return Options{Scale: 8, Apps: []string{"radix", "lu"}, Parallel: 4, Audit: true, Out: buf}
 }
 
-// TestGoldenReports locks the Figure 5 and Figure 8 text reports
-// byte-for-byte. The golden files were captured before the Policy/
+// TestGoldenReports locks every experiment's text report and CSV rows
+// byte-for-byte. The CSV carries exec_cycles and traffic_bytes, so it
+// catches timing or accounting drift the normalized tables round away.
+// The fig5 and fig8 text files were captured before the Policy/
 // registry redesign, so a passing run proves the redesigned systems
 // reproduce the pre-existing reports exactly. Regenerate deliberately
 // with `go test ./internal/harness -run Golden -update`.
 func TestGoldenReports(t *testing.T) {
-	for _, name := range []string{"fig5", "fig8"} {
+	for _, name := range Experiments() {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if _, err := RunByName(name, goldenOptions(&buf)); err != nil {
+			var text, csv bytes.Buffer
+			r, err := RunByName(name, goldenOptions(&text))
+			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", name+".golden")
-			if *update {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
+			if err := WriteCSVHeader(&csv); err != nil {
+				t.Fatal(err)
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
+			if err := r.WriteCSVRows(&csv); err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s report drifted from golden file %s\n--- got ---\n%s\n--- want ---\n%s\n%s",
-					name, path, buf.String(), want, firstDiff(buf.String(), string(want)))
-			}
+			checkGolden(t, name, name+".golden", text.Bytes())
+			checkGolden(t, name, name+".csv.golden", csv.Bytes())
 		})
+	}
+}
+
+func checkGolden(t *testing.T, name, file string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s output drifted from golden file %s\n--- got ---\n%s\n--- want ---\n%s\n%s",
+			name, path, got, want, firstDiff(string(got), string(want)))
 	}
 }
 
