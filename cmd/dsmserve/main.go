@@ -37,6 +37,7 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/serve"
@@ -88,7 +89,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := &http.Server{
+		Handler: srv,
+		// A query is a short header block plus at most a few KiB of
+		// JSON, so slow or stalled clients are cut off well before they
+		// can pin connections.
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		// WriteTimeout stays unset: it runs from the end of the request
+		// read, and a cold query can legitimately simulate for minutes
+		// before its first response byte, until cost admission and
+		// in-run cancellation bound how long an answer may take.
+	}
 	fmt.Fprintf(os.Stderr, "dsmserve: listening on %s\n", ln.Addr())
 
 	// Graceful drain: the first signal stops the listener and waits for

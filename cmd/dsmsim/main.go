@@ -51,7 +51,6 @@ func main() {
 		slow     = flag.Bool("slow", false, "use slow page-operation support")
 		netScale = flag.Int64("netscale", 1, "network latency multiplier")
 		audit    = flag.Bool("audit", true, "run with event-time and traffic-conservation audits (internal/audit)")
-		shards   = flag.Int("shards", 0, "run on the sharded conservative-PDES engine with this many node-partition shards (0/1 = sequential; must evenly divide the cluster's nodes; results are byte-identical)")
 		baseline = flag.Bool("normalize", false, "also run perfect CC-NUMA and print normalized time")
 		perNode  = flag.Bool("pernode", false, "print the per-node statistics table")
 		list     = flag.Bool("list", false, "list applications and systems, then exit")
@@ -120,7 +119,7 @@ func main() {
 	// The normalization baseline is system-independent: run it once.
 	var base *stats.Sim
 	if *baseline {
-		base, err = dsm.RunWithOptions(tr, dsm.PerfectCCNUMA(), cl, config.Default(), th, dsm.RunOptions{Audit: *audit, Shards: *shards})
+		base, err = dsm.RunWithOptions(tr, dsm.PerfectCCNUMA(), cl, config.Default(), th, dsm.RunOptions{Audit: *audit})
 		if err != nil {
 			fail(err)
 		}
@@ -128,7 +127,7 @@ func main() {
 
 	start := time.Now()
 	for _, spec := range specs {
-		ro := dsm.RunOptions{Audit: *audit, Shards: *shards}
+		ro := dsm.RunOptions{Audit: *audit}
 		var col *telemetry.Collector
 		if *telDir != "" {
 			col = telemetry.New(telemetry.Config{Window: *window, Timeline: *timeline})
@@ -172,9 +171,6 @@ func main() {
 			man.WindowCycles = telemetry.DefaultWindow
 		}
 		man.Timeline = *timeline
-		if *shards > 1 {
-			man.Shards = *shards
-		}
 		man.WallSeconds = time.Since(start).Seconds()
 		path := filepath.Join(*telDir, "dsmsim_"+app.Name+".manifest.json")
 		if err := man.WriteFile(path); err != nil {

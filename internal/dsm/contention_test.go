@@ -28,7 +28,7 @@ func mkNet(t *testing.T, spec Spec, net config.Network) *Machine {
 func TestContentionDefersMovesOnHotRoute(t *testing.T) {
 	m := mkNet(t, ContentionMigRep(), config.Network{Topology: config.TopoRing})
 	m.pt.FirstTouch(0, 0)
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 	pol := m.Policy().(*specPolicy)
 
 	// Saturate the 0<->1 route relative to an otherwise idle ring.
@@ -64,7 +64,7 @@ func TestContentionDefersMovesOnHotRoute(t *testing.T) {
 func TestThrottledMoveSurvivesIntervalBoundary(t *testing.T) {
 	m := mkNet(t, ContentionMigRep(), config.Network{Topology: config.TopoRing})
 	m.pt.FirstTouch(0, 0)
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 	pol := m.Policy().(*specPolicy)
 	m.fabric.Deliver(0, 1, 1<<20, 0) // hot route: the gate defers
 
@@ -114,7 +114,7 @@ func TestContentionPolicyWithoutMovesDegrades(t *testing.T) {
 func TestPlainMigRepNeverThrottles(t *testing.T) {
 	m := mkNet(t, MigRep(), config.Network{Topology: config.TopoRing})
 	m.pt.FirstTouch(0, 0)
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 	m.fabric.Deliver(0, 1, 1<<20, 0) // same hot route as above
 	pol := m.Policy().(*specPolicy)
 	for i := 0; i < m.th.MigRepThreshold; i++ {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/directory"
 	"repro/internal/engine"
-	"repro/internal/engine/pdes"
 	"repro/internal/interconnect"
 	"repro/internal/memory"
 	"repro/internal/stats"
@@ -122,19 +121,6 @@ type Machine struct {
 	// Telemetry is observational: it changes no simulated behaviour,
 	// and the nil default costs one nil check per hook.
 	tel *telemetry.Collector
-
-	// shex and shards are non-nil only while ExecuteSharded runs: the
-	// shard partition (per-shard schedulers over node-aligned CPU
-	// ranges) and the scan/streak state of the sharded engine. The
-	// sequential path never consults them beyond one nil check in
-	// schedFor/unpark.
-	shex   *shardExec
-	shards []*machineShard
-
-	// pdesStats records the last sharded run's coordinator counters
-	// (rounds, parallel commits, serial steps); zero after a sequential
-	// run.
-	pdesStats pdes.Stats
 
 	st *stats.Sim
 }

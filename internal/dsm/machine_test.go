@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/trace"
 )
@@ -20,6 +21,10 @@ func mk(t *testing.T, spec Spec) *Machine {
 }
 
 // run executes a hand-built trace on a fresh machine of the given spec.
+// testCPU returns a processor handle for driving a machine's fault paths
+// directly, outside any scheduled run.
+func testCPU(id int) *engine.CPU { return &engine.CPU{ID: id} }
+
 func run(t *testing.T, spec Spec, tr *trace.Trace) *Machine {
 	t.Helper()
 	m, err := NewMachine(spec, config.DefaultCluster(), config.Default(),

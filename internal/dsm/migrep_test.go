@@ -131,7 +131,7 @@ func TestMigRepCountersResetAtInterval(t *testing.T) {
 		cnt.sinceReset++
 	}
 	// Drive one more poke through the public path: it must reset.
-	cpu := m.sched.CPUByID(4)
+	cpu := testCPU(4)
 	m.pt.FirstTouch(0, 0)
 	m.pol.OnRemoteMiss(cpu, 1, 0, stats.Coherence, false)
 	if cnt.sinceReset != 0 {
@@ -156,11 +156,11 @@ func TestReplicaServesLocalReads(t *testing.T) {
 
 func TestGatherFlushesDirtyBlocks(t *testing.T) {
 	m := mk(t, MigRep())
-	cpu := m.sched.CPUByID(0)
+	cpu := testCPU(0)
 	// Home page 0 at node 0 and dirty a block at node 1.
 	m.pt.FirstTouch(0, 0)
 	m.mapped[0][0] = true
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 	m.mapped[1][0] = true
 	m.pt.Entry(0).Mode[1] = 1 // ccnuma
 	m.access(c4, 0, true)
@@ -211,7 +211,7 @@ func TestBoundaryReferenceReachesThresholds(t *testing.T) {
 	cnt := m.migCounter(0)
 	cnt.sinceReset = int32(m.th.MigRepResetInterval) - 1
 	cnt.read[1] = int32(m.th.MigRepThreshold) - 1
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 	m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 1 {
 		t.Errorf("interval's final reference fired %d replications, want 1", got)
@@ -231,8 +231,8 @@ func TestMigrationWeighsHomeUseOnly(t *testing.T) {
 	m := mk(t, Mig())
 	m.pt.FirstTouch(0, 0)
 	cnt := m.migCounter(0)
-	c0 := m.sched.CPUByID(0)
-	c4 := m.sched.CPUByID(4)
+	c0 := testCPU(0)
+	c4 := testCPU(4)
 	for i := 0; i < 5; i++ {
 		m.pol.OnHomeMiss(c0, 0, 0, i%2 == 0)
 	}
@@ -267,8 +267,8 @@ func TestMigrationWeighsHomeUseOnly(t *testing.T) {
 func TestGrantReplicaSerializesAndChargesHome(t *testing.T) {
 	m := mk(t, Rep())
 	m.pt.FirstTouch(0, 0)
-	c4 := m.sched.CPUByID(4)
-	c8 := m.sched.CPUByID(8)
+	c4 := testCPU(4)
+	c8 := testCPU(8)
 	m.EnableAudit()
 	m.replicate(c4, 1, 0)
 	homeBusy := m.home[0].Busy()

@@ -15,7 +15,7 @@ func TestCollapseBlocksImmediateReplication(t *testing.T) {
 	m := mk(t, Rep())
 	m.pt.FirstTouch(0, 0)
 	cnt := m.migCounter(0)
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 
 	// Drive node 1 over the read threshold: first replication fires.
 	for i := 0; i < m.th.MigRepThreshold; i++ {
@@ -26,7 +26,7 @@ func TestCollapseBlocksImmediateReplication(t *testing.T) {
 	}
 
 	// A write collapses; the counters zero and noRepl blocks a retry.
-	c8 := m.sched.CPUByID(8)
+	c8 := testCPU(8)
 	m.collapse(c8, 2, 0)
 	if !cnt.noRepl {
 		t.Fatal("collapse did not set the replication block")
@@ -52,8 +52,8 @@ func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 	m := mk(t, Mig())
 	m.pt.FirstTouch(0, 0)
 	cnt := m.migCounter(0)
-	c0 := m.sched.CPUByID(0)
-	c4 := m.sched.CPUByID(4)
+	c0 := testCPU(0)
+	c4 := testCPU(4)
 
 	// The home uses the page as much as the remote node: no migration.
 	for i := 0; i < m.th.MigRepThreshold+20; i++ {
@@ -70,7 +70,7 @@ func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 	// An idle home loses the page.
 	m2 := mk(t, Mig())
 	m2.pt.FirstTouch(0, 0)
-	c4b := m2.sched.CPUByID(4)
+	c4b := testCPU(4)
 	for i := 0; i < m2.th.MigRepThreshold; i++ {
 		m2.pol.OnRemoteMiss(c4b, 1, 0, stats.Coherence, false)
 	}
@@ -85,8 +85,8 @@ func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 func TestHomeWritesDoNotBlockReplication(t *testing.T) {
 	m := mk(t, Rep())
 	m.pt.FirstTouch(0, 0)
-	c0 := m.sched.CPUByID(0)
-	c4 := m.sched.CPUByID(4)
+	c0 := testCPU(0)
+	c4 := testCPU(4)
 	// The home writes its own page; a remote node only reads it.
 	for i := 0; i < 50; i++ {
 		m.pol.OnHomeMiss(c0, 0, 0, true)

@@ -68,7 +68,7 @@ func TestRefetchCounterOnlyCountsCapacityMisses(t *testing.T) {
 	// Home page 0 at node 0; node 1 reads a block, is invalidated by a
 	// node-2 write, and reads again: a coherence refetch that must NOT
 	// advance the relocation counter.
-	c4, c8 := m.sched.CPUByID(4), m.sched.CPUByID(8)
+	c4, c8 := testCPU(4), testCPU(8)
 	m.pt.FirstTouch(0, 0)
 	m.mapped[0][0], m.mapped[1][0], m.mapped[2][0] = true, true, true
 	m.pt.Entry(0).Mode[1] = memory.ModeCCNUMA
@@ -108,7 +108,7 @@ func TestRelocationDelayBlocksEarlySwitch(t *testing.T) {
 
 func TestSCOMAWritesStayLocal(t *testing.T) {
 	m := mk(t, RNUMA())
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 	m.pt.FirstTouch(0, 0)
 	m.mapped[0][0], m.mapped[1][0] = true, true
 	m.pt.Entry(0).Mode[1] = memory.ModeCCNUMA
@@ -142,7 +142,7 @@ func TestSCOMAWritesStayLocal(t *testing.T) {
 
 func TestFrameFlushWritesDirtyHome(t *testing.T) {
 	m := mk(t, RNUMA())
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 	m.pt.FirstTouch(0, 0)
 	m.mapped[0][0], m.mapped[1][0] = true, true
 	m.pt.Entry(0).Mode[1] = memory.ModeCCNUMA
@@ -196,7 +196,7 @@ func TestFrameEvictionFlushesAtEventTime(t *testing.T) {
 	spec := RNUMA()
 	spec.PageCacheBytes = config.PageBytes // one frame: next relocation evicts
 	m := mk(t, spec)
-	c4 := m.sched.CPUByID(4)
+	c4 := testCPU(4)
 	m.pt.FirstTouch(0, 0)
 	m.pt.FirstTouch(1, 0)
 	m.mapped[0][0], m.mapped[0][1] = true, true
@@ -261,7 +261,7 @@ func TestStaticAndReactiveEvictionAgree(t *testing.T) {
 		spec.PageCacheBytes = config.PageBytes
 		spec.AlwaysSCOMA = static
 		m := mk(t, spec)
-		c4 := m.sched.CPUByID(4)
+		c4 := testCPU(4)
 		m.pt.FirstTouch(0, 0)
 		m.pt.FirstTouch(1, 0)
 		m.mapped[0][0], m.mapped[0][1] = true, true

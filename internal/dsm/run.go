@@ -26,14 +26,6 @@ type RunOptions struct {
 	// as the trace executes. Collection is observational: the simulated
 	// statistics are byte-identical with or without it.
 	Telemetry *telemetry.Collector
-
-	// Shards > 1 selects the sharded conservative-PDES engine (see
-	// ExecuteSharded), which produces byte-identical statistics to the
-	// sequential engine. Shards must evenly partition the cluster's
-	// nodes. A run with Telemetry attached always uses the sequential
-	// engine: the collector is unsynchronized by design, and telemetry
-	// runs exist to be compared against plain runs anyway.
-	Shards int
 }
 
 // Run executes a trace on a freshly built machine and returns the
@@ -54,12 +46,7 @@ func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Tim
 	if o.Telemetry != nil {
 		m.AttachTelemetry(o.Telemetry)
 	}
-	if o.Shards > 1 && o.Telemetry == nil {
-		err = m.ExecuteSharded(tr, o.Shards)
-	} else {
-		err = m.Execute(tr)
-	}
-	if err != nil {
+	if err := m.Execute(tr); err != nil {
 		return nil, err
 	}
 	if o.Audit {
@@ -101,7 +88,7 @@ func (m *Machine) Execute(tr *trace.Trace) error {
 			continue
 		}
 		pos[c.ID]++
-		if err := m.dispatch(c, sched, ops.Kinds[i], ops.Gaps[i], ops.Args[i]); err != nil {
+		if err := m.dispatch(c, ops.Kinds[i], ops.Gaps[i], ops.Args[i]); err != nil {
 			return err
 		}
 	}
@@ -111,16 +98,12 @@ func (m *Machine) Execute(tr *trace.Trace) error {
 }
 
 // dispatch executes one already-peeked trace op on CPU c: the audit
-// pre-checks, the gap advance, and the op itself. sched must be the
-// scheduler that owns c — the machine's global one in a sequential run,
-// c's shard's in a sharded run; CPUs the op releases (barrier waiters,
-// lock grants) are requeued through m.unpark, which routes each to its
-// own scheduler. The sharded engine calls dispatch only from the serial
-// phase, with every shard worker parked, so the op may touch any
-// machine state.
+// pre-checks, the gap advance, and the op itself. c stays in the
+// scheduler's heap while the op runs; dispatch finishes by requeueing,
+// parking or (via m.unpark) releasing the CPUs the op touched.
 //
 //repro:hotpath
-func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Kind, gap uint32, arg uint64) error {
+func (m *Machine) dispatch(c *engine.CPU, kind trace.Kind, gap uint32, arg uint64) error {
 	if m.auditing {
 		// The scheduler dispatches events in nondecreasing time
 		// order; the dispatched clock (plus any trace gap) is the
@@ -142,15 +125,15 @@ func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Ki
 	switch kind {
 	case trace.Read:
 		m.access(c, memory.Block(arg), false)
-		sched.Requeue(c)
+		m.sched.Requeue(c)
 	case trace.Write:
 		m.access(c, memory.Block(arg), true)
-		sched.Requeue(c)
+		m.sched.Requeue(c)
 	case trace.Barrier:
 		arrive := c.Clock
 		release, waiters, ok := m.barrier.Arrive(c)
 		if !ok {
-			sched.Park(c)
+			m.sched.Park(c)
 			return nil
 		}
 		n := m.nodeOf(c.ID)
@@ -160,16 +143,16 @@ func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Ki
 			m.st.Nodes[wn].SyncCycles += release - w.Clock
 			m.unpark(w, release)
 		}
-		sched.Requeue(c)
+		m.sched.Requeue(c)
 	case trace.Lock:
 		l := m.lock(arg)
 		before := c.Clock
 		if !l.Acquire(c) {
-			sched.Park(c)
+			m.sched.Park(c)
 			return nil
 		}
 		m.chargeLock(c, arg, before)
-		sched.Requeue(c)
+		m.sched.Requeue(c)
 	case trace.Unlock:
 		l := m.lock(arg)
 		m.lockOwn[arg] = m.nodeOf(c.ID)
@@ -186,7 +169,7 @@ func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Ki
 			m.chargeLock(next, arg, granted)
 			m.unpark(next, next.Clock)
 		}
-		sched.Requeue(c)
+		m.sched.Requeue(c)
 	case trace.Phase:
 		if !m.phaseDone {
 			m.phaseDone = true
@@ -199,9 +182,9 @@ func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Ki
 				}
 			}
 		}
-		sched.Requeue(c)
+		m.sched.Requeue(c)
 	case trace.Pad:
-		sched.Requeue(c)
+		m.sched.Requeue(c)
 	default:
 		return unknownOp(kind)
 	}
@@ -214,18 +197,12 @@ func unknownOp(kind trace.Kind) error {
 	return fmt.Errorf("dsm: unknown op kind %v", kind)
 }
 
-// unpark returns a previously parked CPU to its owning scheduler's heap
-// at time at. In a sharded run the CPU may belong to a different shard
-// than the event releasing it (a cross-shard barrier release or lock
-// grant), and its scan streak — stale the moment its clock moved — is
-// invalidated.
+// unpark returns a previously parked CPU (a barrier waiter or a lock
+// grantee) to the scheduler's heap at time at.
 //
 //repro:hotpath
 func (m *Machine) unpark(w *engine.CPU, at int64) {
-	m.schedFor(w.ID).Unblock(w, at)
-	if m.shex != nil {
-		m.shex.markCPU(w.ID)
-	}
+	m.sched.Unblock(w, at)
 }
 
 // lock returns the engine lock for a trace lock id, creating it lazily.

@@ -36,18 +36,10 @@
 // (EnableAudit, or RunOptions.Audit) checks event-time discipline as it
 // runs and the internal/audit conservation checks afterwards.
 //
-// Execution has two engines. Machine.Execute replays the trace on one
-// clock-keyed event heap. Machine.ExecuteSharded (RunOptions.Shards >
-// 1) partitions the cluster's nodes across goroutine-owned shards
-// under the internal/engine/pdes conservative coordinator: each round,
-// shards commit in parallel only the ops a read-only scan proves
-// shard-local (sure L1 hits, pads, post-flip phase markers, retires)
-// below a global horizon, and everything else — misses, page
-// operations, barriers, locks — executes serially in exact global
-// (Clock, CPU-ID) order through the same dispatch path. The two
-// engines produce byte-identical statistics by construction; see
-// shard.go for the soundness argument and the //repro:shardlocal
-// static check that guards it.
+// Machine.Execute replays the trace on one clock-keyed event heap,
+// dispatching ops in exact global (Clock, CPU-ID) order. Parallelism
+// lives one level up: the harness runs independent simulations
+// concurrently.
 package dsm
 
 import (

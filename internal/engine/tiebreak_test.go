@@ -10,8 +10,7 @@ import (
 // minimum of the runnable set, no matter how Park/Unblock/Retire churn
 // reshapes the heap. Equal-clock events with an undefined order would
 // pass the simple two-CPU tie test but reorder under a different heap
-// layout — exactly the hazard a sharded engine introduces, since every
-// shard rebuilds its own heap over a subset of the CPUs.
+// layout.
 func TestDispatchOrderIsTotalUnderHeapChurn(t *testing.T) {
 	const cpus = 24
 	rng := rand.New(rand.NewSource(41))
@@ -19,8 +18,8 @@ func TestDispatchOrderIsTotalUnderHeapChurn(t *testing.T) {
 	var parked []*CPU
 	runnable := func() []*CPU {
 		var out []*CPU
-		for id := 0; id < cpus; id++ {
-			if c := s.CPUByID(id); c.Runnable() {
+		for _, c := range s.cpus {
+			if c.state == cpuRunnable {
 				out = append(out, c)
 			}
 		}
@@ -60,64 +59,5 @@ func TestDispatchOrderIsTotalUnderHeapChurn(t *testing.T) {
 	for _, c := range parked {
 		s.Unblock(c, c.Clock)
 		s.Retire(c)
-	}
-}
-
-// TestSchedulerRange pins the sharded construction: a scheduler over an
-// ID range [lo, hi) manages exactly those IDs, resolves CPUByID against
-// the range base, and dispatches in the same (Clock, ID) order a full
-// scheduler would restrict to that subset.
-func TestSchedulerRange(t *testing.T) {
-	s := NewSchedulerRange(8, 12)
-	if got := s.NumCPUs(); got != 4 {
-		t.Fatalf("NumCPUs() = %d, want 4", got)
-	}
-	for id := 8; id < 12; id++ {
-		c := s.CPUByID(id)
-		if c.ID != id {
-			t.Fatalf("CPUByID(%d).ID = %d", id, c.ID)
-		}
-		if !c.Runnable() {
-			t.Fatalf("cpu %d not runnable at start", id)
-		}
-	}
-	// All clocks equal: dispatch order must be ascending ID.
-	for want := 8; want < 12; want++ {
-		c := s.Peek()
-		if c.ID != want {
-			t.Fatalf("dispatch %d: got cpu %d", want-8, c.ID)
-		}
-		s.Retire(c)
-	}
-	if !s.Done() {
-		t.Fatal("range scheduler not done after retiring all CPUs")
-	}
-}
-
-// TestTopDoesNotCountDispatches pins the coordinator probe contract:
-// Top returns the same CPU Peek would, without advancing the dispatch
-// counter — so merging shard heaps through Top leaves the per-run
-// dispatch total equal to the sequential engine's.
-func TestTopDoesNotCountDispatches(t *testing.T) {
-	s := NewScheduler(3)
-	for i := 0; i < 10; i++ {
-		if s.Top() != s.heap[0] {
-			t.Fatal("Top disagrees with heap minimum")
-		}
-	}
-	if got := s.Dispatches(); got != 0 {
-		t.Fatalf("Dispatches() = %d after Top-only probes, want 0", got)
-	}
-	c := s.Peek()
-	if c == nil || s.Dispatches() != 1 {
-		t.Fatalf("Peek did not count a dispatch")
-	}
-	c.Clock += 5
-	s.Requeue(c)
-	if s.Top().ID != 1 {
-		t.Fatalf("Top() = cpu %d after requeue, want 1", s.Top().ID)
-	}
-	if got := s.Dispatches(); got != 1 {
-		t.Fatalf("Dispatches() = %d, want 1", got)
 	}
 }

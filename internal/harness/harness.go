@@ -82,14 +82,6 @@ type Options struct {
 	// independent, so this only affects wall-clock time.
 	Parallel int
 
-	// Shards > 1 runs every simulation on the sharded conservative-PDES
-	// engine with this many node-partition shards (must evenly divide
-	// the cluster's node count). Results are byte-identical to the
-	// sequential engine, so Shards — like Parallel — only affects
-	// wall-clock time and is excluded from cache keys. Runs with
-	// telemetry attached fall back to the sequential engine.
-	Shards int
-
 	// Verbose streams per-run progress lines to Out.
 	Verbose bool
 
@@ -201,9 +193,6 @@ type Result struct {
 	// for the run manifest (Scales only for the scale sweep).
 	Scale  int
 	Scales []int
-	// Shards records the engine the runs executed on (0 = sequential,
-	// N > 1 = the sharded engine's partition width), for the manifest.
-	Shards int
 	// Traces content-addresses every workload the experiment replayed:
 	// one entry per generated trace, carrying the on-disk store hash.
 	Traces []telemetry.TraceRef
@@ -344,7 +333,7 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 		if err := forEach(o.ctx, all, o.Parallel, func(i int, s systemRun) error {
 			scl := cl
 			scl.Net = s.net
-			ro := dsm.RunOptions{Audit: o.Audit, Shards: o.Shards}
+			ro := dsm.RunOptions{Audit: o.Audit}
 			if o.Telemetry != nil && i > 0 {
 				cols[i] = telemetry.New(telemetry.Config{
 					Window: o.Telemetry.Window, Timeline: o.Telemetry.Timeline,
@@ -381,9 +370,6 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 		}
 	}
 	res.Scale = o.Scale
-	if o.Shards > 1 {
-		res.Shards = o.Shards
-	}
 	return res, nil
 }
 

@@ -47,13 +47,6 @@ type Query struct {
 
 	// Seed perturbs the workload generators.
 	Seed uint64 `json:"seed,omitempty"`
-
-	// Shards selects the sharded conservative-PDES engine (values
-	// below 2 normalize to 0, the sequential engine). Sharded results
-	// are byte-identical to sequential ones, so Shards is an execution
-	// knob, not an identity field: it is excluded from Canonical and
-	// two queries differing only in Shards share one cache entry.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Normalize canonicalizes the query in place-free form: names are
@@ -80,9 +73,6 @@ func (q Query) Normalize() Query {
 			q.Scale = 1
 		}
 		q.Scales = nil
-	}
-	if q.Shards < 2 {
-		q.Shards = 0
 	}
 	return q
 }
@@ -141,11 +131,6 @@ func (q Query) Validate() error {
 			return fmt.Errorf("harness: scalesweep: invalid scale %d", sc)
 		}
 	}
-	if q.Shards > 0 {
-		if nodes := config.DefaultCluster().Nodes; nodes%q.Shards != 0 {
-			return fmt.Errorf("harness: %d shards do not evenly partition %d nodes", q.Shards, nodes)
-		}
-	}
 	return nil
 }
 
@@ -198,11 +183,5 @@ func (q Query) Options(base Options) Options {
 	base.Apps = append([]string(nil), q.Apps...)
 	base.Systems = append([]string(nil), q.Systems...)
 	base.Fabric = q.Fabric
-	if q.Shards > 0 {
-		// An execution knob like Parallel: it picks the engine, never
-		// the results, so it rides with the run without entering the
-		// query's canonical key.
-		base.Shards = q.Shards
-	}
 	return base
 }

@@ -52,7 +52,6 @@ func Suite() []*Analyzer {
 		EventTimeAnalyzer,
 		HotAllocAnalyzer,
 		NilHookAnalyzer,
-		ShardLocalAnalyzer,
 	}
 }
 

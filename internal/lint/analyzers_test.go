@@ -32,15 +32,11 @@ func TestNilHook(t *testing.T) {
 	linttest.Run(t, lint.NilHookAnalyzer, "nilhook/dsm")
 }
 
-func TestShardLocal(t *testing.T) {
-	linttest.Run(t, lint.ShardLocalAnalyzer, "shardlocal/dsm")
-}
-
-// TestSuite pins the suite composition: the six analyzers, each with
+// TestSuite pins the suite composition: the five analyzers, each with
 // a name and documentation, names unique.
 func TestSuite(t *testing.T) {
 	suite := lint.Suite()
-	want := []string{"mapiter", "walltime", "eventtime", "hotalloc", "nilhook", "shardlocal"}
+	want := []string{"mapiter", "walltime", "eventtime", "hotalloc", "nilhook"}
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))
 	}

@@ -253,6 +253,14 @@ func (s *Server) Answer(ctx context.Context, q harness.Query) ([]byte, Source, e
 			return nil, SourceCoalesced, ctx.Err()
 		}
 	}
+	// A flight for this key may have landed its body and released the
+	// key since the lookup above; compute caches before it releases, so
+	// checking again under the lock keeps the query from running twice.
+	if body, ok := s.cache.get(key); ok {
+		s.mu.Unlock()
+		s.hits.Add(1)
+		return body, SourceHit, nil
+	}
 	fl := &flight{done: make(chan struct{})}
 	s.flights[key] = fl
 	s.mu.Unlock()
@@ -426,8 +434,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // handleQuery answers one query: 200 with the Record JSON (and an
 // X-Dsm-Cache header naming the layer that answered), 400 on a
-// malformed or unknown query, 429 + Retry-After under backpressure,
-// 500 on a simulation failure.
+// malformed or unknown query, 413 on a POST body over maxQueryBody,
+// 429 + Retry-After under backpressure, 500 on a simulation failure.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q harness.Query
 	var err error
@@ -435,9 +443,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		q, err = queryFromURL(r)
 	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		err = dec.Decode(&q)
+		q, err = queryFromBody(w, r)
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		http.Error(w, "use GET with query parameters or POST a JSON query", http.StatusMethodNotAllowed)
@@ -448,7 +454,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		err = q.Validate()
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 
@@ -487,14 +498,39 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(buf, '\n'))
 }
 
+// maxQueryBody caps a POSTed query body. A real query is a few hundred
+// bytes; the cap keeps a client from streaming an unbounded body into
+// the decoder.
+const maxQueryBody = 4 << 10
+
+// queryFromBody decodes a POST query: exactly one JSON object with no
+// unknown fields and nothing after it but whitespace. A body over
+// maxQueryBody fails with an *http.MaxBytesError.
+func queryFromBody(w http.ResponseWriter, r *http.Request) (harness.Query, error) {
+	var q harness.Query
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&q); err != nil {
+		return q, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return q, err
+		}
+		return q, errors.New("serve: trailing data after the JSON query")
+	}
+	return q, nil
+}
+
 // queryFromURL decodes a GET query: ?experiment=fig5&apps=radix,lu&
-// systems=ccnuma&fabric=ring&scale=8&scales=8,16&seed=7&shards=4.
+// systems=ccnuma&fabric=ring&scale=8&scales=8,16&seed=7.
 func queryFromURL(r *http.Request) (harness.Query, error) {
 	var q harness.Query
 	v := r.URL.Query()
 	for name := range v {
 		switch name {
-		case "experiment", "apps", "systems", "fabric", "scale", "scales", "seed", "shards":
+		case "experiment", "apps", "systems", "fabric", "scale", "scales", "seed":
 		default:
 			return q, fmt.Errorf("serve: unknown query parameter %q", name)
 		}
@@ -529,13 +565,6 @@ func queryFromURL(r *http.Request) (harness.Query, error) {
 			return q, fmt.Errorf("serve: bad seed %q: %w", s, err)
 		}
 		q.Seed = n
-	}
-	if s := v.Get("shards"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return q, fmt.Errorf("serve: bad shards %q: %w", s, err)
-		}
-		q.Shards = n
 	}
 	return q, nil
 }

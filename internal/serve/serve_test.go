@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -334,8 +335,9 @@ func TestDrainWaitsForAcceptedWork(t *testing.T) {
 	}
 }
 
-// TestHTTPBadQuery: malformed and unknown inputs are 400s, unknown
-// paths 404, wrong methods 405.
+// TestHTTPBadQuery: malformed and unknown inputs (including a retired
+// parameter and data after the JSON object) are 400s, bodies over
+// maxQueryBody 413, unknown paths 404, wrong methods 405.
 func TestHTTPBadQuery(t *testing.T) {
 	s := newServer(Config{Commit: "test"}, func(ctx context.Context, q harness.Query) ([]byte, error) {
 		return []byte("ok\n"), nil
@@ -350,11 +352,17 @@ func TestHTTPBadQuery(t *testing.T) {
 		{http.MethodGet, "/query?apps=notanapp", "", http.StatusBadRequest},
 		{http.MethodGet, "/query?bogus=1", "", http.StatusBadRequest},
 		{http.MethodGet, "/query?scale=abc", "", http.StatusBadRequest},
-		{http.MethodGet, "/query?shards=abc", "", http.StatusBadRequest},
-		{http.MethodGet, "/query?shards=3", "", http.StatusBadRequest}, // 3 does not divide the 8-node cluster
+		{http.MethodGet, "/query?experiment=fig5&apps=radix&shards=4", "", http.StatusBadRequest},
 		{http.MethodGet, "/query?experiment=toposweep&fabric=ring", "", http.StatusBadRequest},
 		{http.MethodPost, "/query", `{"experiment":"fig5","bogus":1}`, http.StatusBadRequest},
 		{http.MethodPost, "/query", `not json`, http.StatusBadRequest},
+		{http.MethodPost, "/query", `{"experiment":"fig5","apps":["radix"],"shards":4}`, http.StatusBadRequest},
+		{http.MethodPost, "/query", `{"experiment":"fig5"} {"experiment":"fig6"}`, http.StatusBadRequest},
+		{http.MethodPost, "/query", `{"experiment":"fig5"} trailing`, http.StatusBadRequest},
+		{http.MethodPost, "/query", `{"experiment":"fig5"}}`, http.StatusBadRequest},
+		{http.MethodPost, "/query", `{"experiment":"fig5"}` + " \n\t", http.StatusOK},
+		{http.MethodPost, "/query", `{"experiment":"fig5","apps":["` + strings.Repeat("a", maxQueryBody) + `"]}`, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/query", `{"experiment":"fig5"}` + strings.Repeat(" ", maxQueryBody), http.StatusRequestEntityTooLarge},
 		{http.MethodDelete, "/query", "", http.StatusMethodNotAllowed},
 		{http.MethodGet, "/nosuch", "", http.StatusNotFound},
 	}
@@ -407,22 +415,22 @@ func TestHTTPEquivalentQueriesShareKey(t *testing.T) {
 	if !bytes.Equal(recGet.Body.Bytes(), recPost.Body.Bytes()) {
 		t.Fatal("GET and POST bodies differ")
 	}
+}
 
-	// Shards is an execution knob, not an identity field: the sharded
-	// engine is byte-identical to the sequential one, so a query that
-	// differs only in shards= answers from the same cache entry.
-	sharded := httptest.NewRequest(http.MethodGet,
-		"/query?experiment=fig5&apps=radix&systems=CCNUMA&scale=64&seed=7&shards=4", nil)
-	recSharded := httptest.NewRecorder()
-	s.ServeHTTP(recSharded, sharded)
-	if recSharded.Code != http.StatusOK {
-		t.Fatalf("sharded spelling status = %d: %s", recSharded.Code, recSharded.Body)
+// TestCanonicalKeyIsStable pins the canonical query encoding and the
+// result key derived from it byte-for-byte, so result-store entries
+// written by earlier builds of the same commit string stay addressable.
+func TestCanonicalKeyIsStable(t *testing.T) {
+	q := harness.Query{
+		Experiment: " FIG5 ", Apps: []string{"radix", "lu"},
+		Systems: []string{" CCNUMA ", "migrep"}, Fabric: "Ring", Scale: 64, Seed: 7,
 	}
-	if calls.Load() != 1 {
-		t.Fatalf("simulations = %d, want 1 (shards must not fork the cache key)", calls.Load())
+	const want = "experiment=fig5\x00apps=radix,lu\x00systems=ccnuma,migrep\x00fabric=ring\x00scale=64\x00scales=\x00seed=7"
+	if got := q.Canonical(); got != want {
+		t.Errorf("Canonical() = %q, want %q", got, want)
 	}
-	if sk := recSharded.Header().Get("X-Dsm-Key"); sk != recGet.Header().Get("X-Dsm-Key") {
-		t.Fatalf("shards=4 key %q differs from sequential key %q", sk, recGet.Header().Get("X-Dsm-Key"))
+	if got, want := ResultKey(q, "test"), "14444161e943d49f80240a1453c76fd3"; got != want {
+		t.Errorf("ResultKey() = %q, want %q", got, want)
 	}
 }
 

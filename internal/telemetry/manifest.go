@@ -52,12 +52,6 @@ type Manifest struct {
 	WindowCycles int64 `json:"window_cycles,omitempty"`
 	Timeline     bool  `json:"timeline,omitempty"`
 
-	// Shards records the sharded-engine partition width when the run
-	// used the parallel engine (0 = sequential). Sharded results are
-	// byte-identical to sequential ones; the field attributes execution
-	// cost, not result identity.
-	Shards int `json:"shards,omitempty"`
-
 	// Execution cost and build identity.
 	WallSeconds float64 `json:"wall_seconds"`
 	GoVersion   string  `json:"go_version"`
