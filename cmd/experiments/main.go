@@ -21,6 +21,11 @@
 // registered name — including systems that postdate the paper, such as
 // the contention-aware "migrep-contend".
 //
+// Every experiment of one invocation shares a harness.TraceCache: each
+// workload is generated once, and each distinct run is simulated once —
+// an "all" pass answers 112 of its 273 runs from the run memo, which
+// -progress marks with "(memo)".
+//
 // -tracestore names a directory for the content-addressed on-disk
 // trace store (internal/trace/store): generated workloads are written
 // there and later runs materialize them from disk instead of
@@ -98,7 +103,7 @@ func run() error {
 		scalesFlag  = flag.String("scales", "", "comma-separated scale ladder for -experiment scalesweep (default 8,16,32,64)")
 		appsFlag    = flag.String("apps", "", "comma-separated app subset (default: the paper's seven)")
 		systemsFlag = flag.String("systems", "", "comma-separated system override from the dsm registry (see -list-systems)")
-		parallel    = flag.Int("parallel", runtime.NumCPU(), "concurrent simulations per app (0 = serial)")
+		parallel    = flag.Int("parallel", runtime.NumCPU(), "concurrent simulations per experiment (0 = serial)")
 		verbose     = flag.Bool("verbose", false, "print per-run progress")
 		audit       = flag.Bool("audit", true, "run every simulation with event-time and traffic-conservation audits (internal/audit)")
 		csvPath     = flag.String("csv", "", "also write machine-readable CSV rows to this file")
@@ -248,8 +253,8 @@ func run() error {
 	}
 	if *progress {
 		s := traces.Stats()
-		fmt.Fprintf(os.Stderr, "# tracecache: %d hits, %d coalesced, %d disk hits, %d generated\n",
-			s.Hits, s.Coalesced, s.DiskHits, s.Generated)
+		fmt.Fprintf(os.Stderr, "# tracecache: %d hits, %d coalesced, %d disk hits, %d generated; runs: %d simulated, %d memo hits\n",
+			s.Hits, s.Coalesced, s.DiskHits, s.Generated, s.RunsSimulated, s.MemoHits)
 	}
 	return nil
 }

@@ -467,7 +467,9 @@ const fig5Scale = 8
 // Fig5Sweep regenerates the paper's Figure 5 comparison (all base
 // systems over the seven applications) at the benchmark scale, sharing
 // generated traces across iterations via a TraceCache so the metric is
-// simulator throughput, not workload generation. The sim-cycles metric
+// simulator throughput, not workload generation. Each iteration gets a
+// fresh run memo (TraceCache.WithFreshRuns), so every timed sweep
+// simulates all of its runs. The sim-cycles metric
 // is the total simulated cycles of one sweep; dividing it by seconds
 // per iteration gives simulated-cycles-per-second.
 func Fig5Sweep(b *testing.B) {
@@ -475,7 +477,7 @@ func Fig5Sweep(b *testing.B) {
 	var cycles int64
 	run := func() {
 		r, err := harness.Fig5(harness.Options{
-			Scale: fig5Scale, Parallel: 4, Traces: traces, Out: io.Discard,
+			Scale: fig5Scale, Parallel: 4, Traces: traces.WithFreshRuns(), Out: io.Discard,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -507,7 +509,7 @@ func Fig5SweepTelemetry(b *testing.B) {
 	var cycles int64
 	run := func() {
 		r, err := harness.Fig5(harness.Options{
-			Scale: fig5Scale, Parallel: 4, Traces: traces, Out: io.Discard,
+			Scale: fig5Scale, Parallel: 4, Traces: traces.WithFreshRuns(), Out: io.Discard,
 			Telemetry: &harness.TelemetryOptions{Timeline: true},
 		})
 		if err != nil {
@@ -533,14 +535,15 @@ func Fig5SweepTelemetry(b *testing.B) {
 // ScaleSweep32 runs the scale-sweep experiment at problem scale 32 (all
 // Figure 5 systems over the seven applications), the mid rung of the
 // default 8..64 ladder — the macro answer to "how fast can we sweep a
-// scenario end to end". Traces are shared across iterations like
-// Fig5Sweep, so the metric is simulator throughput.
+// scenario end to end". Traces are shared across iterations and each
+// iteration gets a fresh run memo, like Fig5Sweep, so the metric is
+// simulator throughput.
 func ScaleSweep32(b *testing.B) {
 	traces := harness.NewTraceCache()
 	var cycles int64
 	run := func() {
 		r, err := harness.ScaleSweep(harness.Options{
-			Scales: []int{32}, Parallel: 4, Traces: traces, Out: io.Discard,
+			Scales: []int{32}, Parallel: 4, Traces: traces.WithFreshRuns(), Out: io.Discard,
 		})
 		if err != nil {
 			b.Fatal(err)

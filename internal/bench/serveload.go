@@ -42,7 +42,9 @@ func ServeLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	traces := harness.NewTraceCache() // shared: iterations re-simulate, not re-generate
+	// Shared traces with a fresh run memo per server: iterations
+	// re-simulate, not re-generate.
+	traces := harness.NewTraceCache()
 
 	var report loadtest.Report
 	b.ResetTimer()
@@ -50,7 +52,7 @@ func ServeLoad(b *testing.B) {
 		srv := serve.New(serve.Config{
 			CacheEntries: loadDistinct,
 			QueueDepth:   loadRequests,
-			Traces:       traces,
+			Traces:       traces.WithFreshRuns(),
 			Commit:       "bench",
 		})
 		ts := httptest.NewServer(srv)

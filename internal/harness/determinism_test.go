@@ -6,12 +6,14 @@ import (
 )
 
 // fig5Sweep runs the golden-configuration Figure 5 sweep with the given
-// worker count and returns the rendered report and the CSV rows.
+// worker count and returns the rendered report, preceded by the verbose
+// per-run lines, and the CSV rows.
 func fig5Sweep(t *testing.T, parallel int) (report, csv []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	o := goldenOptions(&buf)
 	o.Parallel = parallel
+	o.Verbose = true
 	r, err := Fig5(o)
 	if err != nil {
 		t.Fatal(err)
@@ -24,10 +26,10 @@ func fig5Sweep(t *testing.T, parallel int) (report, csv []byte) {
 }
 
 // TestSweepDeterministicAcrossWorkers locks in that the harness worker
-// pool only affects wall-clock time: the rendered report and the CSV
-// records of the Figure 5 sweep are byte-identical whether the
-// simulations run serially or on 4 or 8 workers, and across repeated
-// runs. Simulations are independent deterministic machines, so any
+// pool only affects wall-clock time: the verbose lines, the rendered
+// report and the CSV records of the Figure 5 sweep are byte-identical
+// whether the simulations run serially or on 4 or 8 workers, and across
+// repeated runs. Simulations are independent deterministic machines, so any
 // drift here means shared mutable state leaked between runs (e.g.
 // through the shared trace or a results race).
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {

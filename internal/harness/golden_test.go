@@ -26,14 +26,25 @@ func goldenOptions(buf *bytes.Buffer) Options {
 // registry redesign, so a passing run proves the redesigned systems
 // reproduce the pre-existing reports exactly. Regenerate deliberately
 // with `go test ./internal/harness -run Golden -update`.
+//
+// The six experiments share one TraceCache, as an "all" pass of
+// cmd/experiments does, so most of their baselines and Figure 5
+// systems are run-memo hits: the reports prove a hit renders the same
+// bytes as a simulation, and the run counters are pinned exactly.
 func TestGoldenReports(t *testing.T) {
+	traces := NewTraceCache()
+	var requested, ran int
 	for _, name := range Experiments() {
 		t.Run(name, func(t *testing.T) {
 			var text, csv bytes.Buffer
-			r, err := RunByName(name, goldenOptions(&text))
+			o := goldenOptions(&text)
+			o.Traces = traces
+			r, err := RunByName(name, o)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ran++
+			requested += len(r.AppOrder) * (len(r.Systems) + 1) // + the baseline
 			if err := WriteCSVHeader(&csv); err != nil {
 				t.Fatal(err)
 			}
@@ -43,6 +54,17 @@ func TestGoldenReports(t *testing.T) {
 			checkGolden(t, name, name+".golden", text.Bytes())
 			checkGolden(t, name, name+".csv.golden", csv.Bytes())
 		})
+	}
+	if ran < len(Experiments()) {
+		return // a -run filter selected a subset: the counts below do not apply
+	}
+	// Per app: 39 runs requested; 16 repeat an earlier experiment's run
+	// (5 baselines, table4's 3 systems, fig6's 2 fast ones, fig8's 3 and
+	// toposweep's 3 crossbar ones).
+	s := traces.Stats()
+	if requested != 78 || s.RunsSimulated+s.MemoHits != 78 || s.RunsSimulated != 46 || s.MemoHits != 32 {
+		t.Errorf("run counts: %d requested by the results, cache stats %+v; want 78 requested = 46 simulated + 32 memo hits",
+			requested, s)
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
@@ -39,7 +40,7 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace/store"
+	"repro/internal/trace"
 )
 
 // Options configures an experiment run.
@@ -77,9 +78,11 @@ type Options struct {
 	// which size themselves from Scale.
 	Scales []int
 
-	// Parallel runs the per-application system sets concurrently using
-	// this many workers (0 = serial). Simulations are deterministic and
-	// independent, so this only affects wall-clock time.
+	// Parallel sizes the one worker pool each experiment runs on
+	// (0 = serial): the pool first materializes every app's trace, then
+	// runs every (app, system) pair. Simulations are deterministic and
+	// independent, and results are assembled in app order afterwards,
+	// so this only affects wall-clock time.
 	Parallel int
 
 	// Verbose streams per-run progress lines to Out.
@@ -93,11 +96,17 @@ type Options struct {
 	// experiment. Auditing does not change simulated results.
 	Audit bool
 
-	// Traces, when non-nil, caches generated application traces keyed
-	// by (app, cpus, scale) and shares them across experiments: a run
-	// of all five paper experiments generates each workload once
-	// instead of once per experiment. Traces are read-only during
-	// replay, so sharing is safe even across Parallel workers.
+	// Traces, when non-nil, shares work across experiments in two
+	// tiers. Generated application traces are keyed by (app, cpus,
+	// scale, seed): an "all" pass generates each workload once instead
+	// of once per experiment. Finished runs are memoized by content
+	// (trace, system, machine, timing, thresholds, audit): an "all"
+	// pass simulates its 161 distinct runs once each and answers the
+	// other 112 — repeated baselines and Figure 5 systems — from the
+	// memo. Runs with Telemetry always simulate. Traces and memoized
+	// stats are read-only after they land, so sharing is safe even
+	// across Parallel workers. nil generates and simulates everything
+	// afresh.
 	Traces *TraceCache
 
 	// Telemetry, when non-nil, attaches a telemetry.Collector to every
@@ -109,9 +118,11 @@ type Options struct {
 	Telemetry *TelemetryOptions
 
 	// Progress, when non-nil, receives one line per completed
-	// simulation with its wall-clock time (and one per generated
-	// trace). Unlike Verbose output it goes to its own writer, so it
-	// can stream to stderr while the report goes to stdout.
+	// simulation with its wall-clock time, marked "(memo)" when the
+	// run memo answered it (and one per materialized trace). Unlike
+	// Verbose output it goes to its own writer, so it can stream to
+	// stderr while the report goes to stdout. The pool's workers write
+	// it concurrently, so it must be safe for concurrent use.
 	Progress io.Writer
 
 	// Out receives the rendered report (required).
@@ -167,7 +178,9 @@ type Run struct {
 	Label  string
 	// Fabric is the interconnect topology the run used.
 	Fabric string
-	Stats  *stats.Sim
+	// Stats may be shared with other Runs the same TraceCache's run
+	// memo answered; treat it as read-only.
+	Stats *stats.Sim
 	// Norm is execution time normalized to perfect CC-NUMA on the same
 	// application.
 	Norm float64
@@ -278,8 +291,13 @@ func (o Options) systemRuns(def []systemRun, tm config.Timing, th config.Thresho
 	return out, nil
 }
 
-// runExperiment generates each app's trace once and replays it on every
-// system in the set.
+// runExperiment materializes each app's trace once and replays it on
+// every system in the set, plus the perfect CC-NUMA baseline. One worker
+// pool covers the whole experiment: first every app's trace, then every
+// (app, system) pair, so a run-memo hit frees its worker for the next
+// pair instead of idling at a per-app barrier. Runs, Traces and Verbose
+// lines are assembled in app order afterwards, so the result does not
+// depend on the pool.
 func runExperiment(name string, systems []systemRun, o Options) (*Result, error) {
 	o = o.norm()
 	list, err := o.appList()
@@ -296,72 +314,93 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 			systems[i].net = net
 		}
 	}
+	if err := o.ctxErr(); err != nil {
+		return nil, fmt.Errorf("harness: %s cancelled: %w", name, err)
+	}
 	res := &Result{Name: name, Runs: map[string]map[string]*Run{}}
 	for _, s := range systems {
 		res.Systems = append(res.Systems, s.name())
 	}
 
-	// Every experiment normalizes to perfect CC-NUMA under the base
-	// timing model.
-	baseline := systemRun{spec: dsm.PerfectCCNUMA(), tm: config.Default(), th: config.DefaultThresholds()}
-
-	for _, app := range list {
-		if err := o.ctxErr(); err != nil {
-			return nil, fmt.Errorf("harness: %s cancelled: %w", name, err)
-		}
-		params := apps.Params{CPUs: cl.TotalCPUs(), Scale: o.Scale, Seed: o.Seed}
+	params := apps.Params{CPUs: cl.TotalCPUs(), Scale: o.Scale, Seed: o.Seed}
+	traces := make([]*trace.Trace, len(list))
+	if err := forEach(o.ctx, list, o.Parallel, func(a int, app apps.Info) error {
 		genStart := time.Now()
 		tr, err := o.Traces.generate(app, params)
 		if err != nil {
-			return nil, fmt.Errorf("harness: generating %s: %w", app.Name, err)
+			return fmt.Errorf("harness: generating %s: %w", app.Name, err)
 		}
-		key := store.Key{App: app.Name, CPUs: params.CPUs, Scale: params.Scale, Seed: params.Seed}
-		res.Traces = append(res.Traces, telemetry.TraceRef{
-			App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Filename(),
-		})
 		if o.Progress != nil {
 			fmt.Fprintf(o.Progress, "# trace %s scale %d ready in %.2fs (%d ops)\n",
 				app.Name, o.Scale, time.Since(genStart).Seconds(), tr.Ops())
 		}
+		traces[a] = tr
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+
+	// Every experiment normalizes to perfect CC-NUMA under the base
+	// timing model; pair (a, 0) is app a's baseline.
+	baseline := systemRun{spec: dsm.PerfectCCNUMA(), tm: config.Default(), th: config.DefaultThresholds()}
+	all := append([]systemRun{baseline}, systems...)
+	type pair struct{ app, sys int }
+	pairs := make([]pair, 0, len(list)*len(all))
+	for a := range list {
+		for i := range all {
+			pairs = append(pairs, pair{a, i})
+		}
+	}
+	sims := make([]*stats.Sim, len(pairs))
+	cols := make([]*telemetry.Collector, len(pairs))
+	if err := forEach(o.ctx, pairs, o.Parallel, func(j int, p pair) error {
+		app, s := list[p.app], all[p.sys]
+		scl := cl
+		scl.Net = s.net
+		ro := dsm.RunOptions{Audit: o.Audit}
+		if o.Telemetry != nil && p.sys > 0 {
+			cols[j] = telemetry.New(telemetry.Config{
+				Window: o.Telemetry.Window, Timeline: o.Telemetry.Timeline,
+			})
+			ro.Telemetry = cols[j]
+		}
+		runStart := time.Now()
+		sim, memo, err := o.Traces.simulate(traceKey(app, params), traces[p.app], s, scl, ro)
+		if err != nil {
+			return fmt.Errorf("harness: %s on %s: %w", app.Name, s.name(), err)
+		}
+		if o.Progress != nil {
+			how := ""
+			if memo {
+				how = " (memo)"
+			}
+			fmt.Fprintf(o.Progress, "# run %s/%s/%s done in %.2fs%s\n",
+				name, app.Name, s.name(), time.Since(runStart).Seconds(), how)
+		}
+		sims[j] = sim
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+
+	for a, app := range list {
+		tr, key := traces[a], traceKey(app, params)
+		res.Traces = append(res.Traces, telemetry.TraceRef{
+			App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Filename(),
+		})
 		if o.Verbose {
 			fmt.Fprintf(o.Out, "# %s: %d ops, %.1f MB footprint\n",
 				app.Name, tr.Ops(), float64(tr.Footprint)/(1<<20))
 		}
-		all := append([]systemRun{baseline}, systems...)
-		sims := make([]*stats.Sim, len(all))
-		cols := make([]*telemetry.Collector, len(all))
-		if err := forEach(o.ctx, all, o.Parallel, func(i int, s systemRun) error {
-			scl := cl
-			scl.Net = s.net
-			ro := dsm.RunOptions{Audit: o.Audit}
-			if o.Telemetry != nil && i > 0 {
-				cols[i] = telemetry.New(telemetry.Config{
-					Window: o.Telemetry.Window, Timeline: o.Telemetry.Timeline,
-				})
-				ro.Telemetry = cols[i]
-			}
-			runStart := time.Now()
-			sim, err := dsm.RunWithOptions(tr, s.spec, scl, s.tm, s.th, ro)
-			if err != nil {
-				return fmt.Errorf("harness: %s on %s: %w", app.Name, s.name(), err)
-			}
-			if o.Progress != nil {
-				fmt.Fprintf(o.Progress, "# run %s/%s/%s done in %.2fs\n",
-					name, app.Name, s.name(), time.Since(runStart).Seconds())
-			}
-			sims[i] = sim
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		base := sims[0]
+		row := a * len(all)
+		base := sims[row]
 		res.AppOrder = append(res.AppOrder, app.Name)
 		res.Runs[app.Name] = map[string]*Run{}
 		for i, s := range systems {
-			sim := sims[i+1]
+			sim := sims[row+1+i]
 			res.Runs[app.Name][s.name()] = &Run{
 				App: app.Name, System: s.spec.Name, Label: s.name(), Fabric: s.net.Kind(),
-				Stats: sim, Norm: sim.Normalized(base), Telemetry: cols[i+1],
+				Stats: sim, Norm: sim.Normalized(base), Telemetry: cols[row+1+i],
 			}
 			if o.Verbose {
 				fmt.Fprintf(o.Out, "#   %-22s %8.3f (exec %d cycles)\n",
@@ -373,10 +412,13 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 	return res, nil
 }
 
-// forEach runs f over items, optionally with a worker pool. A non-nil
-// ctx stops dispatching new items once cancelled (items already running
-// complete normally).
-func forEach(ctx context.Context, items []systemRun, workers int, f func(int, systemRun) error) error {
+// forEach runs f over items, on a pool of up to workers goroutines
+// (workers <= 1 runs them in order on the caller's goroutine). It stops
+// dispatching new items once any item fails or a non-nil ctx is
+// cancelled; items already running complete normally. The error
+// returned is that of the lowest-indexed item that failed, or the
+// cancellation.
+func forEach[T any](ctx context.Context, items []T, workers int, f func(int, T) error) error {
 	cancelled := func() error {
 		if ctx == nil {
 			return nil
@@ -394,20 +436,30 @@ func forEach(ctx context.Context, items []systemRun, workers int, f func(int, sy
 		}
 		return nil
 	}
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		failed atomic.Bool
+	)
 	sem := make(chan struct{}, workers)
 	errs := make([]error, len(items))
 	for i, it := range items {
+		// Take the worker slot first: a failing item records its
+		// failure before it frees its slot, so the check below sees it.
+		sem <- struct{}{}
+		if failed.Load() {
+			break
+		}
 		if err := cancelled(); err != nil {
 			errs[i] = err
 			break
 		}
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, it systemRun) {
+		go func(i int, it T) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = f(i, it)
+			if errs[i] = f(i, it); errs[i] != nil {
+				failed.Store(true)
+			}
 		}(i, it)
 	}
 	wg.Wait()

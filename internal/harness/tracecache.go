@@ -1,41 +1,70 @@
 package harness
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/apps"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
 
-// TraceCache shares generated application traces across experiments.
-// Workload generation is deterministic for a given (app, cpus, scale,
-// seed), and replay never mutates a trace, so one materialized trace
-// can back every system and every experiment that asks for the same
-// workload.
+// TraceCache shares materialized work across experiments in two tiers.
 //
-// Requests are single-flight: when several workers ask for the same
-// key concurrently, exactly one runs the generator (or the disk load)
-// and the rest block until its result lands — without single-flight, a
-// parallel sweep's workers would each regenerate the same workload and
-// race to install it.
+// The trace tier holds generated application traces. Workload
+// generation is deterministic for a given (app, cpus, scale, seed), and
+// replay never mutates a trace, so one materialized trace can back
+// every system and every experiment that asks for the same workload.
+//
+// The run tier is a content-addressed memo of finished simulations:
+// every figure and table normalizes to perfect CC-NUMA and re-shows
+// Figure 5's systems under the same base machine, so 112 of the 273
+// runs of an "all" pass repeat an earlier run exactly. A run is keyed by
+// its trace's store key plus everything that shapes the machine (see
+// runKey); runs with a telemetry collector or a custom Policy
+// constructor always simulate, and failed runs are not kept. A memo hit
+// returns the same *stats.Sim the first run produced, so callers treat
+// Run.Stats as read-only.
+//
+// Both tiers are single-flight (flightGroup): when several workers ask
+// for the same key concurrently, exactly one materializes it and the
+// rest block until its result lands — without single-flight, a parallel
+// sweep's workers would each regenerate the same workload and race to
+// install it.
 //
 // A cache built with NewTraceCacheWithStore additionally reads through
 // to a content-addressed on-disk trace store (internal/trace/store):
-// misses try the store before generating, and generated traces are
-// written back, so repeat CLI runs and sibling processes materialize
-// workloads from disk instead of re-running generators.
+// trace misses try the store before generating, and generated traces
+// are written back, so repeat CLI runs and sibling processes
+// materialize workloads from disk instead of re-running generators.
+// Runs are memoized in memory only.
 //
-// The zero value is unusable; a nil *TraceCache disables caching
-// (every call generates afresh), which keeps the cache strictly
-// opt-in for callers that want cold-generation timings.
+// Neither tier evicts: a cache lives as long as the sweep, process or
+// server that owns it. Use NewTraceCache or NewTraceCacheWithStore; a
+// nil *TraceCache disables both tiers (every call generates and
+// simulates afresh), which keeps caching strictly opt-in for callers
+// that want cold timings.
 type TraceCache struct {
-	mu sync.Mutex
-	// m is keyed directly on the store's content-address key — the
-	// in-memory and on-disk tiers identify a workload by the same
+	// traces is shared by every cache WithFreshRuns derives.
+	traces *traceTier
+
+	// runs memoizes finished simulations.
+	runs flightGroup[runKey, *stats.Sim]
+
+	// Run counters behind Stats(): every run requested through the
+	// cache is exactly one of simulated (it ran, memo bypasses
+	// included) or memoHit (a completed or in-flight memo entry
+	// answered it).
+	simulated atomic.Int64
+	memoHits  atomic.Int64
+}
+
+// traceTier is the trace half of a TraceCache.
+type traceTier struct {
+	// flights is keyed directly on the store's content-address key —
+	// the in-memory and on-disk tiers identify a workload by the same
 	// (app, cpus, scale, seed) tuple by construction.
-	m map[store.Key]*traceEntry
+	flights flightGroup[store.Key, *trace.Trace]
 
 	// disk is the optional persistent tier (nil = memory only; a nil
 	// *store.Store behaves as always-miss, so no nil checks downstream).
@@ -68,6 +97,13 @@ type TraceCacheStats struct {
 	Generated int64 `json:"generated"`
 	// InFlight is the number of materializations currently running.
 	InFlight int64 `json:"in_flight"`
+
+	// RunsSimulated counts the simulations run through the cache,
+	// including runs that bypass the memo.
+	RunsSimulated int64 `json:"runs_simulated"`
+	// MemoHits counts the runs the memo answered without simulating.
+	// RunsSimulated + MemoHits is every run requested.
+	MemoHits int64 `json:"memo_hits"`
 }
 
 // Stats snapshots the cache's request counters.
@@ -75,34 +111,38 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 	if tc == nil {
 		return TraceCacheStats{}
 	}
+	t := tc.traces
 	return TraceCacheStats{
-		Hits:      tc.hits.Load(),
-		Coalesced: tc.coalesced.Load(),
-		DiskHits:  tc.diskHits.Load(),
-		Generated: tc.generated.Load(),
-		InFlight:  tc.inFlight.Load(),
+		Hits:          t.hits.Load(),
+		Coalesced:     t.coalesced.Load(),
+		DiskHits:      t.diskHits.Load(),
+		Generated:     t.generated.Load(),
+		InFlight:      t.inFlight.Load(),
+		RunsSimulated: tc.simulated.Load(),
+		MemoHits:      tc.memoHits.Load(),
 	}
-}
-
-// traceEntry is one in-flight or completed materialization. done closes
-// when tr/err are final.
-type traceEntry struct {
-	done chan struct{}
-	tr   *trace.Trace
-	err  error
 }
 
 // NewTraceCache returns an empty in-memory cache.
 func NewTraceCache() *TraceCache {
-	return &TraceCache{m: make(map[store.Key]*traceEntry)}
+	return &TraceCache{traces: &traceTier{}}
 }
 
 // NewTraceCacheWithStore returns a cache backed by an on-disk trace
 // store. A nil store is equivalent to NewTraceCache.
 func NewTraceCacheWithStore(st *store.Store) *TraceCache {
-	tc := NewTraceCache()
-	tc.disk = st
-	return tc
+	return &TraceCache{traces: &traceTier{disk: st}}
+}
+
+// WithFreshRuns returns a cache that shares tc's trace tier, counters
+// included, but starts with an empty run memo. Benchmarks time one
+// sweep per iteration through it: traces materialize once, and every
+// timed iteration simulates all of its runs. A nil cache returns nil.
+func (tc *TraceCache) WithFreshRuns() *TraceCache {
+	if tc == nil {
+		return nil
+	}
+	return &TraceCache{traces: tc.traces}
 }
 
 // Len returns the number of completed cached traces.
@@ -110,17 +150,7 @@ func (tc *TraceCache) Len() int {
 	if tc == nil {
 		return 0
 	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	n := 0
-	for _, e := range tc.m {
-		select {
-		case <-e.done:
-			n++
-		default:
-		}
-	}
-	return n
+	return tc.traces.flights.completed()
 }
 
 // generate returns the cached trace for (app, params), materializing
@@ -131,42 +161,32 @@ func (tc *TraceCache) generate(app apps.Info, p apps.Params) (*trace.Trace, erro
 	if tc == nil {
 		return app.Generate(p)
 	}
-	key := store.Key{App: app.Name, CPUs: p.CPUs, Scale: p.Scale, Seed: p.Seed}
-	tc.mu.Lock()
-	if e, ok := tc.m[key]; ok {
-		tc.mu.Unlock()
-		select {
-		case <-e.done:
-			tc.hits.Add(1)
+	t, key := tc.traces, traceKey(app, p)
+	tr, how, err := t.flights.do(key, func() (*trace.Trace, error) {
+		t.inFlight.Add(1)
+		defer t.inFlight.Add(-1)
+		tr, hit, err := t.disk.LoadOrGenerate(key, func() (*trace.Trace, error) {
+			return app.Generate(p)
+		})
+		switch {
+		case err != nil:
+		case hit:
+			t.diskHits.Add(1)
 		default:
-			tc.coalesced.Add(1)
+			t.generated.Add(1)
 		}
-		<-e.done
-		return e.tr, e.err
-	}
-	e := &traceEntry{done: make(chan struct{})}
-	tc.m[key] = e
-	tc.inFlight.Add(1)
-	tc.mu.Unlock()
-
-	var hit bool
-	e.tr, hit, e.err = tc.disk.LoadOrGenerate(key, func() (*trace.Trace, error) {
-		return app.Generate(p)
+		return tr, err
 	})
-	switch {
-	case e.err != nil:
-		// Failed generations are not cached: drop the entry so a later
-		// request (possibly under different conditions) can retry. The
-		// waiters blocked on this flight still observe the error.
-		tc.mu.Lock()
-		delete(tc.m, key)
-		tc.mu.Unlock()
-	case hit:
-		tc.diskHits.Add(1)
-	default:
-		tc.generated.Add(1)
+	switch how {
+	case flightHit:
+		t.hits.Add(1)
+	case flightJoined:
+		t.coalesced.Add(1)
 	}
-	tc.inFlight.Add(-1)
-	close(e.done)
-	return e.tr, e.err
+	return tr, err
+}
+
+// traceKey is the content address of one workload.
+func traceKey(app apps.Info, p apps.Params) store.Key {
+	return store.Key{App: app.Name, CPUs: p.CPUs, Scale: p.Scale, Seed: p.Seed}
 }

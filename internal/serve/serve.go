@@ -93,9 +93,10 @@ type Config struct {
 	// one core per simulation keeps tail latency predictable).
 	Parallel int
 
-	// Traces shares generated workloads across queries (nil creates a
-	// fresh in-memory TraceCache; pass NewTraceCacheWithStore to add
-	// the persistent trace tier).
+	// Traces shares generated workloads and finished runs across
+	// queries, so overlapping queries simulate a shared run once (nil
+	// creates a fresh in-memory TraceCache; pass
+	// NewTraceCacheWithStore to add the persistent trace tier).
 	Traces *harness.TraceCache
 
 	// Commit pins result keys to a build ("" reads the running

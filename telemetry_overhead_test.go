@@ -12,8 +12,10 @@ import (
 // Figure 5 sweep with time-resolved telemetry fully on (windowed series
 // plus the event timeline) must run within 10% of the telemetry-off
 // wall time. Each variant gets the minimum of several alternating
-// iterations over a shared trace cache, so the comparison measures the
-// simulator, not generation or a one-off scheduling hiccup; a small
+// iterations over a shared trace tier, so the comparison measures the
+// simulator, not generation or a one-off scheduling hiccup. Every
+// iteration starts an empty run memo: telemetry runs bypass the memo,
+// so a shared one would time memo hits against simulations; a small
 // absolute allowance keeps the threshold meaningful if the sweep ever
 // gets very fast.
 func TestTelemetryOverheadBudget(t *testing.T) {
@@ -28,7 +30,7 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 	sweep := func(tel *harness.TelemetryOptions) time.Duration {
 		start := time.Now()
 		if _, err := harness.Fig5(harness.Options{
-			Scale: 8, Parallel: 4, Traces: traces, Out: io.Discard, Telemetry: tel,
+			Scale: 8, Parallel: 4, Traces: traces.WithFreshRuns(), Out: io.Discard, Telemetry: tel,
 		}); err != nil {
 			t.Fatal(err)
 		}
