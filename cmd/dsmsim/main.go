@@ -125,6 +125,11 @@ func main() {
 		}
 	}
 
+	if *telDir != "" {
+		if err := os.MkdirAll(*telDir, 0o755); err != nil {
+			fail(err)
+		}
+	}
 	start := time.Now()
 	for _, spec := range specs {
 		ro := dsm.RunOptions{Audit: *audit}
@@ -151,7 +156,7 @@ func main() {
 				sim.Normalized(base), base.ExecCycles)
 		}
 		if col != nil {
-			if err := writeTelemetry(*telDir, app.Name, spec.Name, col); err != nil {
+			if err := col.WriteFiles(filepath.Join(*telDir, "dsmsim_"+app.Name+"_"+spec.Name)); err != nil {
 				fail(err)
 			}
 		}
@@ -177,36 +182,4 @@ func main() {
 			fail(err)
 		}
 	}
-}
-
-// writeTelemetry renders one run's collector into dir as
-// dsmsim_<app>_<system>.windows.csv plus, when the timeline was
-// recorded, .timeline.json (Chrome trace event format) and
-// .timeline.csv.
-func writeTelemetry(dir, app, system string, col *telemetry.Collector) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	stem := filepath.Join(dir, "dsmsim_"+app+"_"+system)
-	write := func(path string, render func(w *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(stem+".windows.csv", func(f *os.File) error { return col.WriteWindowsCSV(f) }); err != nil {
-		return err
-	}
-	if !col.TimelineEnabled() {
-		return nil
-	}
-	if err := write(stem+".timeline.json", func(f *os.File) error { return col.WriteChromeTrace(f) }); err != nil {
-		return err
-	}
-	return write(stem+".timeline.csv", func(f *os.File) error { return col.WriteTimelineCSV(f) })
 }

@@ -2,7 +2,9 @@
 // three main systems respond as the network latency grows from the base
 // 80 cycles to 8x that (remote:local ratios of 4 to 32). The paper's
 // observation — CC-NUMA degrades fastest, R-NUMA is the most latency
-// tolerant — appears as the divergence of the rows.
+// tolerant — appears as the divergence of the rows. Every point is
+// normalized to one perfect-CC-NUMA run at the base latency, so the
+// rows show absolute slowdown as the network gets slower.
 //
 //	go run ./examples/latencysweep [-app radix] [-scale 4]
 package main
@@ -12,8 +14,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/apps"
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/dsm"
 )
 
 func main() {
@@ -21,7 +24,27 @@ func main() {
 	scale := flag.Int("scale", 4, "problem-size divisor")
 	flag.Parse()
 
-	systems := []core.System{core.SystemCCNUMA, core.SystemMigRep, core.SystemRNUMA}
+	cl := config.DefaultCluster()
+	tm, th := config.Default(), config.DefaultThresholds()
+
+	info, err := apps.ByName(*app)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr, err := info.Generate(apps.Params{CPUs: cl.TotalCPUs(), Scale: *scale})
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := dsm.Run(tr, dsm.PerfectCCNUMA(), cl, tm, th)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	systems := []string{"ccnuma", "migrep", "rnuma"}
+	specs, err := dsm.ResolveSpecs(systems, th)
+	if err != nil {
+		log.Fatal(err)
+	}
 	factors := []int64{1, 2, 4, 8}
 
 	fmt.Printf("normalized execution time of %s vs network latency\n", *app)
@@ -31,18 +54,14 @@ func main() {
 	}
 	fmt.Println()
 
-	for _, sys := range systems {
-		fmt.Printf("%-8s", sys)
+	for i, spec := range specs {
+		fmt.Printf("%-8s", systems[i])
 		for _, f := range factors {
-			opts := core.Defaults()
-			opts.Scale = *scale
-			opts.Timing = config.Default().ScaleNetwork(f)
-			sess := core.NewSession(opts)
-			res, err := sess.Simulate(*app, sys)
+			sim, err := dsm.Run(tr, spec, cl, tm.ScaleNetwork(f), th)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf(" %8.3f", res.Normalized)
+			fmt.Printf(" %8.3f", sim.Normalized(base))
 		}
 		fmt.Println()
 	}

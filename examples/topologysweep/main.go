@@ -6,7 +6,7 @@
 // bisection. Migration/replication's bulk 4-KB page moves concentrate
 // load on the links near hot pages' homes in ways fine-grain 64-byte
 // caching does not — visible here, invisible in the flat-latency
-// model. "migrep-contend" (a dsm-registry policy; no core or protocol
+// model. "migrep-contend" (a dsm-registry policy; no protocol
 // changes were needed to add it here) defers those moves while their
 // route is the fabric's hot spot.
 //
@@ -18,8 +18,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/apps"
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/dsm"
 )
 
 func main() {
@@ -28,7 +29,29 @@ func main() {
 	hot := flag.Int("hot", 5, "hot links to print per run")
 	flag.Parse()
 
-	systems := []core.System{core.SystemCCNUMA, core.SystemMigRep, core.SystemMigRepCont, core.SystemRNUMA}
+	cl := config.DefaultCluster()
+	tm, th := config.Default(), config.DefaultThresholds()
+
+	info, err := apps.ByName(*app)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr, err := info.Generate(apps.Params{CPUs: cl.TotalCPUs(), Scale: *scale})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The baseline runs on the ideal crossbar (the zero Net), so
+	// normalized times stay comparable across fabrics.
+	base, err := dsm.Run(tr, dsm.PerfectCCNUMA(), cl, tm, th)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	systems := []string{"ccnuma", "migrep", "migrep-contend", "rnuma"}
+	specs, err := dsm.ResolveSpecs(systems, th)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fabrics := []config.Network{
 		{Topology: config.TopoCrossbar},
 		{Topology: config.TopoRing},
@@ -37,18 +60,16 @@ func main() {
 
 	for _, net := range fabrics {
 		fmt.Printf("== %s fabric ==\n", net.Kind())
-		opts := core.Defaults()
-		opts.Scale = *scale
-		opts.Cluster.Net = net
-		sess := core.NewSession(opts)
-		for _, sys := range systems {
-			res, err := sess.Simulate(*app, sys)
+		fcl := cl
+		fcl.Net = net
+		for i, spec := range specs {
+			sim, err := dsm.Run(tr, spec, fcl, tm, th)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%-8s normalized %.3f, max link %d KB\n",
-				res.System, res.Normalized, res.Stats.Net.MaxLink().Bytes/1024)
-			fmt.Print(res.Stats.Net.NetReport(*hot))
+				systems[i], sim.Normalized(base), sim.Net.MaxLink().Bytes/1024)
+			fmt.Print(sim.Net.NetReport(*hot))
 		}
 		fmt.Println()
 	}

@@ -10,22 +10,26 @@ import (
 // TestSystemsOverride runs Figure 5 on a caller-chosen system list,
 // including the contention-aware MigRep that only exists as a registry
 // entry: the harness must resolve it by name and report it like any
-// paper system.
+// paper system. The list also names the normalization baseline itself,
+// which must normalize to exactly 1.
 func TestSystemsOverride(t *testing.T) {
 	var buf bytes.Buffer
 	o := opts(&buf, "radix")
-	o.Systems = []string{"ccnuma", "migrep-contend"}
+	o.Systems = []string{"ccnuma", "migrep-contend", "perfect"}
 	r, err := Fig5(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Systems) != 2 || r.Systems[0] != "CC-NUMA" || r.Systems[1] != "MigRep-Cont" {
+	if len(r.Systems) != 3 || r.Systems[0] != "CC-NUMA" || r.Systems[1] != "MigRep-Cont" || r.Systems[2] != "Perfect" {
 		t.Fatalf("systems = %v", r.Systems)
 	}
 	for _, sys := range r.Systems {
 		if r.Norm("radix", sys) <= 0 {
 			t.Errorf("%s: nonpositive normalized time", sys)
 		}
+	}
+	if got := r.Norm("radix", "Perfect"); got != 1 {
+		t.Errorf("Perfect normalized = %v, want exactly 1", got)
 	}
 	if !strings.Contains(buf.String(), "MigRep-Cont") {
 		t.Error("report does not mention the overridden system")

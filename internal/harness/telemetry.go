@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,18 +63,9 @@ func (r *Result) WriteTelemetry(dir string, wall time.Duration) error {
 			}
 			col := run.Telemetry
 			window = col.WindowCycles()
-			stem := artifactName(r.Name, app, run.Label)
-			if err := writeArtifact(filepath.Join(dir, stem+".windows.csv"), col.WriteWindowsCSV); err != nil {
+			timeline = timeline || col.TimelineEnabled()
+			if err := col.WriteFiles(filepath.Join(dir, artifactName(r.Name, app, run.Label))); err != nil {
 				return err
-			}
-			if col.TimelineEnabled() {
-				timeline = true
-				if err := writeArtifact(filepath.Join(dir, stem+".timeline.json"), col.WriteChromeTrace); err != nil {
-					return err
-				}
-				if err := writeArtifact(filepath.Join(dir, stem+".timeline.csv"), col.WriteTimelineCSV); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -129,17 +118,4 @@ func (r *Result) fabrics() string {
 		}
 	}
 	return strings.Join(out, ",")
-}
-
-// writeArtifact creates path and streams one renderer into it.
-func writeArtifact(path string, render func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"os/exec"
 	"runtime"
 	"runtime/debug"
@@ -92,15 +91,7 @@ func (m *Manifest) Write(w io.Writer) error {
 
 // WriteFile writes the manifest to path.
 func (m *Manifest) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, m.Write)
 }
 
 // BuildCommit returns the VCS revision of the running binary: the

@@ -35,6 +35,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 
 	"repro/internal/stats"
@@ -338,4 +339,35 @@ func (c *Collector) WriteWindowsCSV(w io.Writer) error {
 		row(win, "dispatch", "ops", c.dispatch.at(win))
 	}
 	return err
+}
+
+// WriteFiles writes the collector's artifacts under the path prefix
+// stem: the windowed series as stem.windows.csv and, when the timeline
+// was recorded, stem.timeline.json (Chrome trace-event JSON, loadable
+// in Perfetto or chrome://tracing) and stem.timeline.csv. The
+// directory must already exist.
+func (c *Collector) WriteFiles(stem string) error {
+	if err := writeFile(stem+".windows.csv", c.WriteWindowsCSV); err != nil {
+		return err
+	}
+	if !c.timeline {
+		return nil
+	}
+	if err := writeFile(stem+".timeline.json", c.WriteChromeTrace); err != nil {
+		return err
+	}
+	return writeFile(stem+".timeline.csv", c.WriteTimelineCSV)
+}
+
+// writeFile creates path and streams one renderer into it.
+func writeFile(path string, render func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }
