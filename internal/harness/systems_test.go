@@ -36,6 +36,34 @@ func TestSystemsOverride(t *testing.T) {
 	}
 }
 
+// TestSimulateNormalizes runs lu on CC-NUMA and on the Perfect
+// baseline: both must report execution times, CC-NUMA a positive
+// normalized time, and Perfect exactly 1.
+func TestSimulateNormalizes(t *testing.T) {
+	var buf bytes.Buffer
+	o := opts(&buf, "lu")
+	o.Systems = []string{"ccnuma", "perfect"}
+	r, err := Fig5(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := r.Records()
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want 2", len(recs))
+	}
+	for _, rec := range recs {
+		if rec.ExecCycles <= 0 {
+			t.Errorf("%s: missing execution time", rec.System)
+		}
+	}
+	if got := r.Norm("lu", "CC-NUMA"); got <= 0 {
+		t.Errorf("CC-NUMA normalized = %v", got)
+	}
+	if got := r.Norm("lu", "Perfect"); got != 1 {
+		t.Errorf("Perfect normalized = %v, want 1", got)
+	}
+}
+
 // TestSystemsOverrideEverywhere exercises the override on every
 // experiment, since each resolves its own defaults.
 func TestSystemsOverrideEverywhere(t *testing.T) {
