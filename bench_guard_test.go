@@ -1,65 +1,44 @@
 package repro
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
 )
 
-// benchBaseline mirrors the fields of cmd/benchreport's output that the
-// guard needs.
-type benchBaseline struct {
-	Results []struct {
-		Name        string `json:"name"`
-		Guarded     bool   `json:"guarded"`
-		BytesPerOp  int64  `json:"bytes_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-	} `json:"results"`
-}
+// allocBaseline is the allocation budget of one guarded benchmark case:
+// allocs/op and bytes/op as last deliberately measured.
+type allocBaseline struct{ allocs, bytes int64 }
 
-// latestBaseline returns the committed BENCH_*.json file with the
-// highest PR number, so the guard automatically tracks the newest
-// committed trajectory point without per-PR edits to this test.
-func latestBaseline(t *testing.T) string {
-	t.Helper()
-	matches, err := filepath.Glob("BENCH_*.json")
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no committed BENCH_*.json baseline found (glob err: %v)", err)
-	}
-	best, bestNum := "", -1
-	for _, m := range matches {
-		numStr := strings.TrimSuffix(strings.TrimPrefix(m, "BENCH_"), ".json")
-		n, err := strconv.Atoi(numStr)
-		if err != nil {
-			continue
-		}
-		if n > bestNum {
-			best, bestNum = m, n
-		}
-	}
-	if best == "" {
-		t.Fatalf("no numeric BENCH_<pr>.json among %v", matches)
-	}
-	return best
+// guardBaselines maps each guarded internal/bench case to its baseline.
+// Its keys are the guarded set.
+var guardBaselines = map[string]allocBaseline{
+	"CacheProbeBlock":    {allocs: 0, bytes: 0},
+	"CacheProbeInfinite": {allocs: 0, bytes: 0},
+	"CacheProbePage":     {allocs: 0, bytes: 0},
+	"EngineDispatch":     {allocs: 0, bytes: 0},
+	"FaultPathCold":      {allocs: 393, bytes: 744035},
+	"FaultPathCoherence": {allocs: 387, bytes: 187402},
+	"FaultPathCapacity":  {allocs: 395, bytes: 1309569},
+	"FaultPathSCOMA":     {allocs: 437, bytes: 1291279},
+	"TraceReplaySoA":     {allocs: 0, bytes: 0},
+	"Fig5Sweep":          {allocs: 28312, bytes: 17227008},
+	"Fig5SweepTelemetry": {allocs: 32440, bytes: 18422432},
 }
 
 // TestBenchAllocationGuard re-runs the guarded hot-path benchmarks
 // (cache probes, fault path per miss class, engine dispatch, trace
-// streaming, the Figure 5 macro) and fails if allocs/op OR bytes/op
-// regresses more than 20% over the newest committed BENCH_<pr>.json
-// baseline. ns/op is deliberately not guarded — wall time varies with
-// the host — but allocation counts and sizes are deterministic for a
-// fixed code path, so a jump means an allocation crept back into a hot
-// loop (or an existing one got fatter, which allocs/op alone misses).
+// streaming, the Figure 5 macros) and fails if allocs/op OR bytes/op
+// regresses more than 20% over guardBaselines. ns/op is deliberately
+// not guarded — wall time varies with the host — but allocation counts
+// and sizes are deterministic for a fixed code path, so a jump means an
+// allocation crept back into a hot loop (or an existing one got fatter,
+// which allocs/op alone misses).
 //
-// Regenerate the baseline deliberately with:
-//
-//	go run ./cmd/benchreport -o BENCH_<pr>.json
+// To rebase deliberately, when a change legitimately shifts a budget,
+// copy the allocs/op and bytes/op this test logs into guardBaselines.
 func TestBenchAllocationGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark guard in -short mode")
@@ -67,38 +46,26 @@ func TestBenchAllocationGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("skipping benchmark guard under the race detector (instrumentation allocates)")
 	}
-	path := latestBaseline(t)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("unreadable benchmark baseline %s: %v", path, err)
+	if len(guardBaselines) == 0 {
+		t.Fatal("guardBaselines names no guarded benchmarks")
 	}
-	t.Logf("guarding against %s", path)
-	var base benchBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("bad baseline: %v", err)
+	known := map[string]bool{}
+	for _, c := range bench.Cases() {
+		known[c.Name] = true
 	}
-	type limits struct{ allocs, bytes int64 }
-	baseline := map[string]limits{}
-	for _, r := range base.Results {
-		if r.Guarded {
-			baseline[r.Name] = limits{allocs: r.AllocsPerOp, bytes: r.BytesPerOp}
+	for _, name := range slices.Sorted(maps.Keys(guardBaselines)) {
+		if !known[name] {
+			t.Errorf("guardBaselines names %s, which is no case in bench.Cases()", name)
 		}
-	}
-	if len(baseline) == 0 {
-		t.Fatal("baseline contains no guarded benchmarks")
 	}
 
 	for _, c := range bench.Cases() {
-		if !c.Guarded {
-			continue
-		}
-		want, ok := baseline[c.Name]
+		want, ok := guardBaselines[c.Name]
 		if !ok {
-			t.Errorf("%s: no baseline entry (regenerate the BENCH file)", c.Name)
 			continue
 		}
 		r := testing.Benchmark(c.Bench)
-		got := limits{allocs: r.AllocsPerOp(), bytes: r.AllocedBytesPerOp()}
+		got := allocBaseline{allocs: r.AllocsPerOp(), bytes: r.AllocedBytesPerOp()}
 		// 20% headroom plus one absolute alloc, so zero-alloc baselines
 		// tolerate nothing but noise-level drift.
 		if limit := want.allocs + want.allocs/5 + 1; got.allocs > limit {

@@ -1,16 +1,12 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus ablations over the design choices DESIGN.md
-// calls out and microbenchmarks of the simulator's hot paths.
-//
-// Each BenchmarkFigN/BenchmarkTable4 iteration performs the full
-// experiment (all systems on a reduced-scale workload set) and reports
-// simulated-cycles-per-wall-second style throughput via custom metrics.
-// Run the real full-scale reproduction with cmd/experiments.
+// Benchmarks of the simulator: per-application replay throughput,
+// trace generation, ablations over the simulator's design choices, and
+// microbenchmarks of the hot paths. End-to-end timing of the paper's
+// experiments is perfbench's job; run the full-scale reproduction with
+// cmd/experiments.
 package repro
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"repro/internal/apps"
@@ -18,97 +14,13 @@ import (
 	"repro/internal/config"
 	"repro/internal/dsm"
 	"repro/internal/engine"
-	"repro/internal/harness"
 	"repro/internal/memory"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// benchScale keeps one experiment iteration around a second.
+// benchScale is the problem scale of every benchmark workload.
 const benchScale = 8
-
-func benchOpts() harness.Options {
-	return harness.Options{Scale: benchScale, Parallel: 4, Out: io.Discard}
-}
-
-// reportMeans attaches each system's mean normalized execution time as a
-// benchmark metric, so `go test -bench` output carries the figures'
-// headline numbers.
-func reportMeans(b *testing.B, r *harness.Result) {
-	b.Helper()
-	for _, sys := range r.Systems {
-		b.ReportMetric(r.MeanNorm(sys), "norm-"+sys)
-	}
-}
-
-// BenchmarkFig5 regenerates Figure 5: the base comparison of CC-NUMA,
-// Rep, Mig, MigRep, R-NUMA and R-NUMA-Inf over the seven applications.
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4: per-node page operations and
-// remote miss breakdowns.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Table4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates Figure 6: fast versus slow page-operation
-// support.
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates Figure 7: the 4x network latency study.
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates Figure 8: page-cache halving and the
-// R-NUMA+MigRep integration.
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
 
 // ---------------------------------------------------------------------
 // Per-application replay benchmarks: simulator throughput on each
@@ -168,7 +80,10 @@ func BenchmarkTraceGeneration(b *testing.B) {
 // quarter to 4x the paper's 64 KB: how much SRAM does the cluster cache
 // need before R-NUMA's DRAM page cache stops mattering?
 func BenchmarkAblationBlockCacheSize(b *testing.B) {
-	info, _ := apps.ByName("radix")
+	info, err := apps.ByName("radix")
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr, err := info.Generate(apps.Params{CPUs: 32, Scale: benchScale})
 	if err != nil {
 		b.Fatal(err)
@@ -195,7 +110,10 @@ func BenchmarkAblationBlockCacheSize(b *testing.B) {
 // BenchmarkAblationPageCacheSize sweeps the R-NUMA page cache (the
 // Figure 8 cost question) on the capacity-bound workload.
 func BenchmarkAblationPageCacheSize(b *testing.B) {
-	info, _ := apps.ByName("radix")
+	info, err := apps.ByName("radix")
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr, err := info.Generate(apps.Params{CPUs: 32, Scale: benchScale})
 	if err != nil {
 		b.Fatal(err)
@@ -222,7 +140,10 @@ func BenchmarkAblationPageCacheSize(b *testing.B) {
 // BenchmarkAblationRNUMAThreshold sweeps the relocation threshold: the
 // paper's 32 sits between eager thrashing and missed opportunity.
 func BenchmarkAblationRNUMAThreshold(b *testing.B) {
-	info, _ := apps.ByName("lu")
+	info, err := apps.ByName("lu")
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr, err := info.Generate(apps.Params{CPUs: 32, Scale: benchScale})
 	if err != nil {
 		b.Fatal(err)
@@ -250,7 +171,10 @@ func BenchmarkAblationRNUMAThreshold(b *testing.B) {
 // BenchmarkAblationNetworkLatency sweeps the wire latency (the Figure 7
 // axis) on one workload for all three systems.
 func BenchmarkAblationNetworkLatency(b *testing.B) {
-	info, _ := apps.ByName("ocean")
+	info, err := apps.ByName("ocean")
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr, err := info.Generate(apps.Params{CPUs: 32, Scale: benchScale})
 	if err != nil {
 		b.Fatal(err)
@@ -279,7 +203,10 @@ func BenchmarkAblationNetworkLatency(b *testing.B) {
 // selection against the static S-COMA policy on the page-cache-bound
 // workload: the reactive filter admits only pages that earn their frame.
 func BenchmarkAblationReactiveVsStatic(b *testing.B) {
-	info, _ := apps.ByName("radix")
+	info, err := apps.ByName("radix")
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr, err := info.Generate(apps.Params{CPUs: 32, Scale: benchScale})
 	if err != nil {
 		b.Fatal(err)
@@ -330,10 +257,9 @@ func BenchmarkRecorderAccess(b *testing.B) {
 }
 
 // BenchmarkHotPath runs the shared internal/bench suite: cache probes,
-// the fault path per miss class, engine dispatch, and the Figure 5
-// macrobenchmark. cmd/benchreport runs the same bodies to produce the
-// committed BENCH_*.json baselines, and the allocation-regression guard
-// in bench_guard_test.go compares the guarded cases against them.
+// the fault path per miss class, engine dispatch, trace streaming and
+// the sweep macrobenchmarks. The allocation-regression guard in
+// bench_guard_test.go re-runs the cases its baseline table names.
 func BenchmarkHotPath(b *testing.B) {
 	for _, c := range bench.Cases() {
 		b.Run(c.Name, c.Bench)

@@ -86,9 +86,9 @@
 // overload with 429 + Retry-After and drains cleanly on SIGTERM.
 // cmd/dsmload (internal/serve/loadtest) load-tests a running server
 // with thousands of concurrent mixed hot/cold queries and reports
-// QPS, latency percentiles and per-layer hit counts; the bench
-// suite's ServeLoad case commits those numbers to the BENCH_*.json
-// trajectory.
+// QPS, latency percentiles and per-layer hit counts; perfbench's
+// serve-cold and serve-hot workloads time the same server over
+// loopback HTTP.
 //
 // What the run-time audits enforce dynamically, internal/lint enforces
 // statically: repolint (cmd/repolint, also runnable as a go vet
@@ -103,5 +103,6 @@
 // compile time, on every path.
 //
 // See README.md for a quickstart, cmd/experiments for the reproduction
-// driver, and bench_test.go (this directory) for per-figure benchmarks.
+// driver, bench_test.go (this directory) for hot-path and ablation
+// benchmarks, and perfbench/ for the end-to-end benchmark.
 package repro

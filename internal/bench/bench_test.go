@@ -39,7 +39,7 @@ func runTrace(t *testing.T, name string, spec dsm.Spec) *stats.Sim {
 // TestFaultTracesDriveIntendedMissClasses pins the benchmark traces to
 // their advertised miss profiles: each fault-path benchmark must
 // actually spend its remote misses in the class it is named for,
-// otherwise the BENCH baselines measure the wrong path.
+// otherwise their allocation baselines guard the wrong path.
 func TestFaultTracesDriveIntendedMissClasses(t *testing.T) {
 	cold := runTrace(t, "cold", dsm.CCNUMA())
 	if c, tot := cold.RemoteMissesByClass(stats.Cold), cold.TotalRemoteMisses(); tot == 0 || c*10 < tot*9 {

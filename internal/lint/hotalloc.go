@@ -21,8 +21,10 @@ import (
 //
 // The check is not transitive: a hot function may call a cold helper
 // (amortized growth, lazy construction); the helper is simply not
-// annotated. Annotations are cross-checked against internal/bench's
-// guarded benchmarks by the lint suite's own tests.
+// annotated. TestHotPathAnnotationsPresent (the root lint_test.go)
+// requires a minimum count of //repro:hotpath annotations in each hot
+// file, so dropping them fails a test instead of silently disabling
+// this check.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "forbid allocating constructs (fmt, string concat, closures, map literals, interface boxing) in //repro:hotpath functions",

@@ -28,9 +28,9 @@
 //
 // The load-generator harness in the loadtest subpackage (cmd/dsmload)
 // drives the stack with thousands of concurrent mixed hot/cold queries
-// and reports QPS, latency percentiles and hit/coalesce/cold counts;
-// internal/bench's ServeLoad case lands those numbers in the committed
-// BENCH_*.json trajectory.
+// and reports QPS, latency percentiles and hit/coalesce/cold counts.
+// perfbench's serve-cold and serve-hot workloads time the same server
+// over loopback HTTP.
 package serve
 
 import (
