@@ -98,7 +98,7 @@ func run() error {
 	var (
 		exp         = flag.String("experiment", "all", "experiment: fig5, table4, fig6, fig7, fig8, toposweep, scalesweep, params, all")
 		scale       = flag.Int("scale", 1, "problem-size divisor (1 = full size)")
-		seed        = flag.Uint64("seed", 0, "workload-generator seed (0 = the paper's inputs)")
+		seed        = flag.Uint64("seed", 0, "workload-generator seed (0 = the paper's inputs; cholesky, lu and ocean ignore it)")
 		fabric      = flag.String("fabric", "", "interconnect override for every run: crossbar, ring, mesh, fattree (empty = experiment default)")
 		scalesFlag  = flag.String("scales", "", "comma-separated scale ladder for -experiment scalesweep (default 8,16,32,64)")
 		appsFlag    = flag.String("apps", "", "comma-separated app subset (default: the paper's seven)")

@@ -8,30 +8,14 @@
 //	go run ./cmd/repolint ./...
 //
 // Exit status is 0 when the tree is clean, 2 when any analyzer reports
-// a finding, and 1 on a load or typecheck error.
-//
-// The command also speaks enough of the vet driver protocol to run
-// under the go command:
-//
-//	go build -o /tmp/repolint ./cmd/repolint
-//	go vet -vettool=/tmp/repolint ./...
-//
-// In that mode the go command invokes the tool once per package with a
-// .cfg file describing the unit (sources, import map, export data) and
-// the tool analyzes just that package, so findings are incremental and
-// cached like any other vet run.
+// a finding, and 1 on a load or typecheck error. The same suite gates
+// go test through TestRepolintClean in the root lint_test.go.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,51 +27,15 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
+// run loads the given package patterns (default ./...) from the current
+// directory and applies the full suite.
 func run(args []string) int {
 	fs := flag.NewFlagSet("repolint", flag.ExitOnError)
-	versionFlag := fs.String("V", "", "print version and exit (vet driver protocol)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags as JSON (vet driver protocol)")
 	fs.Usage = usage
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if *versionFlag != "" {
-		// The go command hashes this line into its action cache key.
-		fmt.Printf("repolint version %s\n", version())
-		return 0
-	}
-	if *printFlags {
-		// No analyzer takes flags; the driver expects a JSON array.
-		fmt.Println("[]")
-		return 0
-	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(rest[0])
-	}
-	return runStandalone(rest)
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: repolint [packages]\n\nAnalyzers:\n")
-	for _, a := range lint.Suite() {
-		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
-	}
-}
-
-// version derives a stable version string from the suite composition,
-// so adding an analyzer invalidates the go command's vet cache.
-func version() string {
-	names := make([]string, 0, len(lint.Suite()))
-	for _, a := range lint.Suite() {
-		names = append(names, a.Name)
-	}
-	return "1-" + strings.Join(names, "+")
-}
-
-// runStandalone loads the given package patterns (default ./...) from
-// the current directory and applies the full suite.
-func runStandalone(patterns []string) int {
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -107,6 +55,13 @@ func runStandalone(patterns []string) int {
 	return 0
 }
 
+func usage() {
+	fmt.Fprintf(os.Stderr, "usage: repolint [packages]\n\nAnalyzers:\n")
+	for _, a := range lint.Suite() {
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
+	}
+}
+
 // relPos renders a position with a working-directory-relative filename
 // when possible.
 func relPos(pos token.Position) string {
@@ -117,140 +72,4 @@ func relPos(pos token.Position) string {
 		}
 	}
 	return fmt.Sprintf("%s:%d:%d", name, pos.Line, pos.Column)
-}
-
-// vetConfig is the per-package unit description the go command hands a
-// vettool (the fields this tool consumes).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit analyzes the single package a vet .cfg file describes.
-func runUnit(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "repolint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	// The suite has no cross-package facts, so the vetx output is an
-	// empty placeholder — but the driver requires the file to exist.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// The invariants govern shipped simulator code. Tests construct
-	// collectors directly, replay at t=0 and range maps in assertions,
-	// so the test-augmented units the go command also hands a vettool
-	// are not analyzed — matching the standalone runner, which loads
-	// only non-test files. The plain unit of each package is always a
-	// separate invocation, so every shipped file is still covered.
-	if isTestUnit(&cfg) {
-		return 0
-	}
-	pkg, err := loadUnit(&cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var diags []lint.Diagnostic
-	for _, a := range lint.Suite() {
-		pass := &lint.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report:    func(d lint.Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			fmt.Fprintf(os.Stderr, "repolint: %s on %s: %v\n", a.Name, cfg.ImportPath, err)
-			return 1
-		}
-	}
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", pos.Filename, pos.Line, pos.Column, d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// isTestUnit reports whether the unit is a test variant: a package
-// augmented with its _test.go files, an external _test package, or a
-// generated test main.
-func isTestUnit(cfg *vetConfig) bool {
-	if strings.Contains(cfg.ImportPath, " [") ||
-		strings.HasSuffix(cfg.ImportPath, ".test") ||
-		strings.HasSuffix(cfg.ImportPath, "_test") {
-		return true
-	}
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
-// loadUnit parses and typechecks the unit's sources, resolving imports
-// through the export files the go command already built.
-func loadUnit(cfg *vetConfig) (*lint.Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("repolint: parsing %s: %v", name, err)
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("repolint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, lookup)
-	info := lint.NewTypesInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("repolint: typechecking %s: %v", cfg.ImportPath, err)
-	}
-	return &lint.Package{Path: cfg.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

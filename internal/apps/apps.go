@@ -18,7 +18,10 @@ type Params struct {
 	// problem for tests and quick runs. Values below 1 are treated as 1.
 	Scale int
 
-	// Seed perturbs the deterministic input generators.
+	// Seed perturbs the deterministic input generators of barnes, fmm,
+	// radix and raytrace. cholesky, lu and ocean ignore it: their inputs
+	// come from fixed constants, so every seed yields the same trace
+	// (TestSeedSensitivity pins which group each app is in).
 	Seed uint64
 }
 

@@ -165,3 +165,34 @@ func TestScaleShrinksWork(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedSensitivity pins which generators honor Params.Seed. barnes,
+// fmm, radix and raytrace draw their inputs from a seeded generator;
+// cholesky, lu and ocean build the same trace for every seed (their
+// inputs come from fixed constants), so seeds 0 and 1 must differ for
+// the first group and match exactly for the second. Changing either
+// group is then a deliberate act that updates this table.
+func TestSeedSensitivity(t *testing.T) {
+	honors := map[string]bool{
+		"barnes": true, "fmm": true, "radix": true, "raytrace": true,
+		"cholesky": false, "lu": false, "ocean": false,
+	}
+	for _, app := range Paper() {
+		want, ok := honors[app.Name]
+		if !ok {
+			t.Errorf("%s: no seed expectation", app.Name)
+			continue
+		}
+		a, err := app.Generate(Params{CPUs: 32, Scale: 64, Seed: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := app.Generate(Params{CPUs: 32, Scale: 64, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if differ := !a.Equal(b); differ != want {
+			t.Errorf("%s: seeds 0 and 1 give different traces = %v, want %v", app.Name, differ, want)
+		}
+	}
+}

@@ -60,10 +60,10 @@ func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Tim
 // Execute replays the trace to completion on the machine.
 //
 // The dispatch loop uses the scheduler's in-place cycle (Peek/Requeue/
-// Park/Retire): the earliest CPU stays in the heap while its op runs and
-// a single sift restores order afterwards, instead of a full pop and
-// push per trace op. Dispatch order is identical either way — the heap
-// always surfaces the unique (Clock, ID) minimum.
+// Park/Retire): the earliest CPU stays queued while its op runs and a
+// single tree update restores order afterwards, instead of a pop and a
+// push per trace op. Dispatch order is identical either way — the
+// scheduler always surfaces the unique (Clock, ID) minimum.
 //
 // Replay streams each CPU's three trace columns (kind, gap, arg)
 // directly: one byte-wide kind load steers the dispatch switch and the
@@ -99,7 +99,7 @@ func (m *Machine) Execute(tr *trace.Trace) error {
 
 // dispatch executes one already-peeked trace op on CPU c: the audit
 // pre-checks, the gap advance, and the op itself. c stays in the
-// scheduler's heap while the op runs; dispatch finishes by requeueing,
+// scheduler while the op runs; dispatch finishes by requeueing,
 // parking or (via m.unpark) releasing the CPUs the op touched.
 //
 //repro:hotpath
@@ -158,10 +158,10 @@ func (m *Machine) dispatch(c *engine.CPU, kind trace.Kind, gap uint32, arg uint6
 		m.lockOwn[arg] = m.nodeOf(c.ID)
 		if next := l.Release(c.Clock); next != nil {
 			// Charge the new holder before requeueing it: the
-			// scheduler heap is keyed by clock, so the clock must
-			// reach its final value before Unblock pushes the CPU.
-			// (Charging after the push silently corrupted the heap
-			// and dispatched CPUs out of simulated-time order.)
+			// scheduler is keyed by clock, so the clock must reach
+			// its final value before Unblock queues the CPU.
+			// (Charging after the push once dispatched CPUs out of
+			// simulated-time order.)
 			granted := c.Clock
 			if granted > next.Clock {
 				next.Clock = granted
@@ -198,7 +198,7 @@ func unknownOp(kind trace.Kind) error {
 }
 
 // unpark returns a previously parked CPU (a barrier waiter or a lock
-// grantee) to the scheduler's heap at time at.
+// grantee) to the scheduler at time at.
 //
 //repro:hotpath
 func (m *Machine) unpark(w *engine.CPU, at int64) {

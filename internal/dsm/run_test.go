@@ -203,9 +203,9 @@ func TestContendedLocksKeepDispatchOrder(t *testing.T) {
 					trace.Op{Kind: trace.Unlock, Arg: 0})
 			}
 		} else {
-			// Dense independent ticks: the scheduler heap always holds
+			// Dense independent ticks: the scheduler always holds
 			// clocks inside any lock-handoff charge window, so a CPU
-			// requeued with a stale (too-small) heap key is dispatched
+			// requeued with a stale (too-small) key is dispatched
 			// ahead of them and trips the dispatch-order audit.
 			for i := 0; i < 2000; i++ {
 				ops = append(ops, trace.Op{Kind: trace.Pad, Gap: 13})

@@ -36,7 +36,7 @@
 // (EnableAudit, or RunOptions.Audit) checks event-time discipline as it
 // runs and the internal/audit conservation checks afterwards.
 //
-// Machine.Execute replays the trace on one clock-keyed event heap,
+// Machine.Execute replays the trace on one clock-keyed scheduler,
 // dispatching ops in exact global (Clock, CPU-ID) order. Parallelism
 // lives one level up: the harness runs independent simulations
 // concurrently.

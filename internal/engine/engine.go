@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 )
 
@@ -111,8 +112,12 @@ type CPU struct {
 	Clock Time
 
 	state cpuState
-	index int // position in the runnable heap, -1 if not queued
 }
+
+// empty is the key of a tree leaf that holds no runnable CPU: a parked,
+// retired or padding leaf. The key-range guard keeps every real key
+// below it, so an empty root means no CPU is runnable.
+const empty = ^uint64(0)
 
 // Scheduler advances a fixed set of CPUs in global simulated-time order.
 //
@@ -121,19 +126,29 @@ type CPU struct {
 // (advancing its Clock), and Yield requeues it. And the cheaper in-place
 // cycle used by the replay hot loop: Peek returns the earliest runnable
 // CPU without removing it, the caller advances its Clock (and may push
-// other CPUs via Unblock), then Requeue restores heap order, or Park /
-// Retire removes the CPU when it blocks or finishes. The in-place cycle
-// performs one sift per dispatched event instead of two and never moves
-// the other elements twice; dispatch order is identical, since the heap
-// always pops the unique (Clock, ID) minimum either way.
+// other CPUs via Unblock), then Requeue restores order, or Park / Retire
+// removes the CPU when it blocks or finishes. The in-place cycle makes
+// one tree update per dispatched event instead of two.
 //
-// The heap is hand-rolled rather than container/heap: the comparison and
-// swap run inline on the concrete slice, which matters because the replay
-// loop dispatches one heap operation per trace op.
+// The runnable set is a min tree over packed uint64 keys. A CPU's key is
+// uint64(Clock)<<shift | ID, so one unsigned compare orders CPUs by
+// (Clock, ID). Leaf 1<<shift + ID holds CPU ID's key; the leaves are
+// padded to a power of two with empty keys, and each internal node holds
+// the smaller of its two children, so the root tree[1] is the earliest
+// runnable CPU. IDs are unique, so the order is total and the minimum —
+// hence the dispatch sequence — does not depend on the tree's layout.
+//
+// Every update writes one leaf and walks to the root, taking the min
+// with the sibling at each level. The sibling's address does not depend
+// on loaded data, so the walk has no data-dependent branch or pointer
+// chase, which matters because the replay loop makes one such walk per
+// trace op.
 type Scheduler struct {
-	cpus []*CPU
-	heap []*CPU
-	done int
+	cpus  []CPU
+	tree  []uint64 // tree[1] is the root; leaves are tree[1<<shift:]
+	shift uint     // low key bits that hold the ID: bits.Len(n-1)
+	limit uint64   // clocks at or above this have no key
+	done  int
 
 	// dispatches counts scheduling decisions: every Peek or Next that
 	// handed the earliest runnable CPU to the caller. Run introspection
@@ -143,150 +158,112 @@ type Scheduler struct {
 
 // NewScheduler creates a scheduler over n CPUs, all runnable at time 0.
 func NewScheduler(n int) *Scheduler {
-	s := &Scheduler{cpus: make([]*CPU, n), heap: make([]*CPU, n)}
-	backing := make([]CPU, n)
-	for i := 0; i < n; i++ {
-		c := &backing[i]
-		c.ID = i
-		c.index = i
-		s.cpus[i] = c
-		s.heap[i] = c // equal clocks in ID order is already a valid heap
+	shift := uint(bits.Len(uint(max(n, 1) - 1)))
+	leaves := 1 << shift
+	s := &Scheduler{
+		cpus:  make([]CPU, n),
+		tree:  make([]uint64, 2*leaves),
+		shift: shift,
+		// A key stays below empty while uint64(Clock) < ^uint64(0)>>shift.
+		// Capping the limit at 1<<63 also refuses negative clocks, which
+		// wrap to at least 1<<63, when shift is 0.
+		limit: min(^uint64(0)>>shift, 1<<63),
+	}
+	leaf := s.tree[leaves:]
+	for i := range leaf {
+		leaf[i] = empty
+	}
+	for i := range s.cpus {
+		s.cpus[i].ID = i
+		leaf[i] = uint64(i) // clock 0
+	}
+	for j := leaves - 1; j >= 1; j-- {
+		s.tree[j] = min(s.tree[2*j], s.tree[2*j+1])
 	}
 	return s
 }
 
-// less orders CPUs by (Clock, ID); IDs are unique, so the order is total
-// and the dispatch sequence does not depend on heap layout.
-func less(a, b *CPU) bool {
-	if a.Clock != b.Clock {
-		return a.Clock < b.Clock
-	}
-	return a.ID < b.ID
-}
-
-// up restores the heap property from position i toward the root.
+// enqueue writes c's packed (Clock, ID) key into its leaf. A clock
+// outside the key range panics rather than wrap into a wrong dispatch
+// order.
 //
 //repro:hotpath
-func (s *Scheduler) up(i int) {
-	h := s.heap
-	c := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(c, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].index = i
-		i = parent
+func (s *Scheduler) enqueue(c *CPU) {
+	if uint64(c.Clock) >= s.limit {
+		panic(fmt.Sprintf("engine: clock %d out of scheduler range for cpu %d", c.Clock, c.ID))
 	}
-	h[i] = c
-	c.index = i
+	s.set(c.ID, uint64(c.Clock)<<s.shift|uint64(c.ID))
 }
 
-// down restores the heap property from position i toward the leaves.
+// set writes k into CPU id's leaf and recomputes the minima on the path
+// from that leaf to the root.
 //
 //repro:hotpath
-func (s *Scheduler) down(i int) {
-	h := s.heap
-	n := len(h)
-	c := h[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && less(h[r], h[child]) {
-			child = r
-		}
-		if !less(h[child], c) {
-			break
-		}
-		h[i] = h[child]
-		h[i].index = i
-		i = child
+func (s *Scheduler) set(id int, k uint64) {
+	t := s.tree
+	j := 1<<s.shift | id
+	t[j] = k
+	for j > 1 {
+		k = min(k, t[j^1])
+		j >>= 1
+		t[j] = k
 	}
-	h[i] = c
-	c.index = i
 }
 
-// push appends a CPU and sifts it up.
+// queued reports whether c currently holds a key in the tree.
 //
 //repro:hotpath
-func (s *Scheduler) push(c *CPU) {
-	c.index = len(s.heap)
-	s.heap = append(s.heap, c)
-	s.up(c.index)
-}
-
-// removeAt deletes the CPU at heap position i.
-//
-//repro:hotpath
-func (s *Scheduler) removeAt(i int) {
-	h := s.heap
-	last := len(h) - 1
-	c := h[i]
-	if i != last {
-		h[i] = h[last]
-		h[i].index = i
-	}
-	h[last] = nil
-	s.heap = h[:last]
-	if i != last {
-		s.down(i)
-		s.up(i)
-	}
-	c.index = -1
+func (s *Scheduler) queued(c *CPU) bool {
+	return s.tree[1<<s.shift|c.ID] != empty
 }
 
 // Peek returns the runnable CPU with the smallest clock (ties broken by
 // id) without removing it, or nil when no CPU is runnable. The caller
 // advances the CPU's clock and then calls Requeue, Park or Retire; until
-// then the heap is suspended around that CPU, and only Unblock may touch
-// it.
+// then the tree still holds the CPU's old key, and only Unblock may
+// touch the scheduler.
 //
 //repro:hotpath
 func (s *Scheduler) Peek() *CPU {
-	if len(s.heap) == 0 {
+	k := s.tree[1]
+	if k == empty {
 		return nil
 	}
 	s.dispatches++
-	return s.heap[0]
+	return &s.cpus[k&(1<<s.shift-1)]
 }
 
-// Requeue restores heap order around a peeked CPU whose clock advanced.
-// Clocks are monotonic — simulated work only moves a CPU later in time —
-// so a single downward sift suffices (the CPU can only have grown
-// relative to its children; its parent relation is untouched).
+// Requeue restores order around a peeked CPU whose clock advanced.
 //
 //repro:hotpath
 func (s *Scheduler) Requeue(c *CPU) {
-	if c.state != cpuRunnable || c.index < 0 {
+	if c.state != cpuRunnable || !s.queued(c) {
 		panic(fmt.Sprintf("engine: requeue of non-queued cpu %d", c.ID))
 	}
-	s.down(c.index)
+	s.enqueue(c)
 }
 
-// Park removes a peeked CPU from the runnable heap and marks it blocked
+// Park removes a peeked CPU from the runnable set and marks it blocked
 // on synchronization. It must later be released with Unblock.
 //
 //repro:hotpath
 func (s *Scheduler) Park(c *CPU) {
-	if c.index < 0 {
+	if !s.queued(c) {
 		panic(fmt.Sprintf("engine: park of non-queued cpu %d", c.ID))
 	}
 	c.state = cpuBlocked
-	s.removeAt(c.index)
+	s.set(c.ID, empty)
 }
 
-// Retire removes a peeked CPU from the runnable heap and marks it done.
+// Retire removes a peeked CPU from the runnable set and marks it done.
 //
 //repro:hotpath
 func (s *Scheduler) Retire(c *CPU) {
-	if c.index < 0 {
+	if !s.queued(c) {
 		panic(fmt.Sprintf("engine: retire of non-queued cpu %d", c.ID))
 	}
 	c.state = cpuDone
-	s.removeAt(c.index)
+	s.set(c.ID, empty)
 	s.done++
 }
 
@@ -296,12 +273,10 @@ func (s *Scheduler) Retire(c *CPU) {
 //
 //repro:hotpath
 func (s *Scheduler) Next() *CPU {
-	if len(s.heap) == 0 {
-		return nil
+	c := s.Peek()
+	if c != nil {
+		s.set(c.ID, empty)
 	}
-	s.dispatches++
-	c := s.heap[0]
-	s.removeAt(0)
 	return c
 }
 
@@ -312,7 +287,7 @@ func (s *Scheduler) Yield(c *CPU) {
 	if c.state != cpuRunnable {
 		panic(fmt.Sprintf("engine: yield of non-runnable cpu %d", c.ID))
 	}
-	s.push(c)
+	s.enqueue(c)
 }
 
 // Block marks a CPU (obtained from Next) as waiting on synchronization.
@@ -332,7 +307,7 @@ func (s *Scheduler) Unblock(c *CPU, at Time) {
 		c.Clock = at
 	}
 	c.state = cpuRunnable
-	s.push(c)
+	s.enqueue(c)
 }
 
 // Finish retires a CPU obtained from Next.
@@ -351,10 +326,8 @@ func (s *Scheduler) Dispatches() int64 { return s.dispatches }
 // execution time once Done.
 func (s *Scheduler) MaxClock() Time {
 	var m Time
-	for _, c := range s.cpus {
-		if c.Clock > m {
-			m = c.Clock
-		}
+	for i := range s.cpus {
+		m = max(m, s.cpus[i].Clock)
 	}
 	return m
 }

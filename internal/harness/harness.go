@@ -50,8 +50,9 @@ type Options struct {
 	Scale int
 
 	// Seed perturbs the deterministic workload generators (0 = the
-	// paper's inputs). It participates in the trace store's content
-	// address, so distinct seeds are distinct cached workloads.
+	// paper's inputs); cholesky, lu and ocean ignore it. It participates
+	// in the trace store's content address, so distinct seeds are
+	// distinct cached workloads.
 	Seed uint64
 
 	// Fabric overrides the interconnect topology of every non-baseline

@@ -45,7 +45,8 @@ type Query struct {
 	// ladder); dropped by normalization for every other experiment.
 	Scales []int `json:"scales,omitempty"`
 
-	// Seed perturbs the workload generators.
+	// Seed perturbs the workload generators; cholesky, lu and ocean
+	// ignore it (see apps.Params.Seed).
 	Seed uint64 `json:"seed,omitempty"`
 }
 

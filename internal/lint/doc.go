@@ -40,8 +40,7 @@
 //     invariant that an uninstrumented run pays exactly one branch
 //     per hook.
 //
-// The suite runs three ways: standalone (`go run ./cmd/repolint
-// ./...`), as a vet tool (`go vet -vettool=$(which repolint) ./...`),
+// The suite runs two ways: standalone (`go run ./cmd/repolint ./...`)
 // and inside `go test ./...` via the repository-root lint_test.go, so
 // tier-1 verification enforces it without CI.
 //

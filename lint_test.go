@@ -33,7 +33,7 @@ func TestRepolintClean(t *testing.T) {
 // disable the check without failing it.
 func TestHotPathAnnotationsPresent(t *testing.T) {
 	files := map[string]int{
-		"internal/engine/engine.go":       10, // scheduler heap, resource, lock, barrier
+		"internal/engine/engine.go":       10, // scheduler tree, resource, lock, barrier
 		"internal/cache/cache.go":         10, // L1, block-cache and page-cache probe paths
 		"internal/dsm/access.go":          10, // fault paths
 		"internal/dsm/pageop.go":          5,  // page-op scratch
