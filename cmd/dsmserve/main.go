@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	dsmserve -addr :8080 -resultstore .resultstore -tracestore .tracestore
+//	dsmserve -addr :8080 -resultstore .resultstore
 //	curl 'http://localhost:8080/query?experiment=fig5&apps=radix&scale=64'
 //	curl -d '{"experiment":"fig5","apps":["radix"],"scale":64}' http://localhost:8080/query
 //	curl http://localhost:8080/statusz
@@ -39,9 +39,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/serve"
-	"repro/internal/trace/store"
 )
 
 func main() {
@@ -55,7 +53,6 @@ func run() error {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		resultStore = flag.String("resultstore", "", "directory of the on-disk result store (empty = memory only)")
-		traceStore  = flag.String("tracestore", "", "directory of the on-disk trace store (empty = in-memory trace cache only)")
 		cacheSize   = flag.Int("cache", 128, "in-memory result LRU capacity (entries)")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "cold-path simulation workers")
 		queue       = flag.Int("queue", 0, "cold-path queue depth before 429 (0 = 4x workers)")
@@ -75,13 +72,6 @@ func run() error {
 			return err
 		}
 		cfg.Store = rs
-	}
-	if *traceStore != "" {
-		st, err := store.Open(*traceStore)
-		if err != nil {
-			return err
-		}
-		cfg.Traces = harness.NewTraceCacheWithStore(st)
 	}
 	srv := serve.New(cfg)
 

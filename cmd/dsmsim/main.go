@@ -5,7 +5,6 @@
 //
 //	dsmsim -app lu -system rnuma [-scale 4] [-slow] [-netscale 4] [-audit=false]
 //	dsmsim -app lu -systems ccnuma,migrep,migrep-contend -normalize
-//	dsmsim -app radix -tracestore .tracestore   # reuse traces across runs
 //	dsmsim -app migratory -system migrep -telemetry out/ -timeline
 //	dsmsim -list
 //
@@ -13,11 +12,6 @@
 // perfect, ccnuma, rep, mig, migrep, rnuma, rnuma-inf, rnuma-half,
 // rnuma-half-migrep, scoma, migrep-contend, and anything registered
 // since.
-//
-// -tracestore names a directory of the content-addressed on-disk trace
-// store (internal/trace/store): the workload is loaded from disk when
-// present and saved after generation otherwise. It defaults to off so
-// generation timings stay cold.
 package main
 
 import (
@@ -33,8 +27,6 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
-	"repro/internal/trace/store"
 )
 
 func fail(err error) {
@@ -54,7 +46,6 @@ func main() {
 		baseline = flag.Bool("normalize", false, "also run perfect CC-NUMA and print normalized time")
 		perNode  = flag.Bool("pernode", false, "print the per-node statistics table")
 		list     = flag.Bool("list", false, "list applications and systems, then exit")
-		tsDir    = flag.String("tracestore", "", "directory of the on-disk trace store (empty = off; generation timings stay cold)")
 		telDir   = flag.String("telemetry", "", "collect time-resolved telemetry and write windowed-series CSVs and a run manifest into this directory")
 		timeline = flag.Bool("timeline", false, "with -telemetry, also record the page-operation timeline (Chrome trace JSON + CSV)")
 		window   = flag.Int64("window", 0, "telemetry window width in simulated cycles (0 = default, 2^20)")
@@ -97,24 +88,12 @@ func main() {
 	}
 
 	params := apps.Params{CPUs: cl.TotalCPUs(), Scale: *scale}
-	var ts *store.Store // nil disables persistence
-	if *tsDir != "" {
-		if ts, err = store.Open(*tsDir); err != nil {
-			fail(err)
-		}
-	}
-	key := store.Key{App: app.Name, CPUs: params.CPUs, Scale: params.Scale, Seed: params.Seed}
-	tr, hit, err := ts.LoadOrGenerate(key,
-		func() (*trace.Trace, error) { return app.Generate(params) })
+	tr, err := app.Generate(params)
 	if err != nil {
 		fail(err)
 	}
-	src := "generated"
-	if hit {
-		src = "loaded from " + *tsDir
-	}
-	fmt.Printf("trace: %d ops, %.2f MB shared footprint, %d barriers, %d locks (%s)\n",
-		tr.Ops(), float64(tr.Footprint)/(1<<20), tr.Barriers, tr.Locks, src)
+	fmt.Printf("trace: %d ops, %.2f MB shared footprint, %d barriers, %d locks\n",
+		tr.Ops(), float64(tr.Footprint)/(1<<20), tr.Barriers, tr.Locks)
 
 	// The normalization baseline is system-independent: run it once.
 	var base *stats.Sim
@@ -168,8 +147,9 @@ func main() {
 		man.Fabric = cl.Net.Kind()
 		man.Scale = *scale
 		man.Seed = params.Seed
+		key := app.Key(params)
 		man.Traces = []telemetry.TraceRef{{
-			App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Filename(),
+			App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Hash(),
 		}}
 		man.WindowCycles = *window
 		if man.WindowCycles <= 0 {

@@ -10,7 +10,6 @@
 //	experiments -experiment scalesweep -scales 8,16,32,64   # Figure 5 across problem scales
 //	experiments -scale 4 -parallel 8        # smaller inputs, concurrent runs
 //	experiments -json results.json -csv results.csv
-//	experiments -tracestore .tracestore     # persist generated traces on disk
 //	experiments -experiment params          # print the encoded Tables 2 and 3
 //	experiments -list-systems               # print the memory-system registry
 //	experiments -cpuprofile cpu.out -memprofile mem.out   # ad-hoc profiling
@@ -25,12 +24,6 @@
 // workload is generated once, and each distinct run is simulated once —
 // an "all" pass answers 112 of its 273 runs from the run memo, which
 // -progress marks with "(memo)".
-//
-// -tracestore names a directory for the content-addressed on-disk
-// trace store (internal/trace/store): generated workloads are written
-// there and later runs materialize them from disk instead of
-// regenerating. It defaults to off so cold-generation timings stay
-// measurable.
 package main
 
 import (
@@ -48,7 +41,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/dsm"
 	"repro/internal/harness"
-	"repro/internal/trace/store"
 )
 
 func printParams() {
@@ -109,7 +101,6 @@ func run() error {
 		csvPath     = flag.String("csv", "", "also write machine-readable CSV rows to this file")
 		jsonPath    = flag.String("json", "", "also write the structured records as JSON to this file")
 		listSystems = flag.Bool("list-systems", false, "list the registered memory systems and exit")
-		traceStore  = flag.String("tracestore", "", "directory of the on-disk trace store (empty = off; generation timings stay cold)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 		telemetry   = flag.String("telemetry", "", "collect time-resolved telemetry and write windowed-series CSVs and a run manifest into this directory")
@@ -158,16 +149,9 @@ func run() error {
 		return nil
 	}
 
-	// The in-memory cache always shares each workload across
-	// experiments; -tracestore adds the persistent tier underneath it.
+	// One cache shares each workload and each distinct run across
+	// every experiment of the invocation.
 	traces := harness.NewTraceCache()
-	if *traceStore != "" {
-		st, err := store.Open(*traceStore)
-		if err != nil {
-			return err
-		}
-		traces = harness.NewTraceCacheWithStore(st)
-	}
 	o := harness.Options{
 		Scale:    *scale,
 		Seed:     *seed,
@@ -253,8 +237,8 @@ func run() error {
 	}
 	if *progress {
 		s := traces.Stats()
-		fmt.Fprintf(os.Stderr, "# tracecache: %d hits, %d coalesced, %d disk hits, %d generated; runs: %d simulated, %d memo hits\n",
-			s.Hits, s.Coalesced, s.DiskHits, s.Generated, s.RunsSimulated, s.MemoHits)
+		fmt.Fprintf(os.Stderr, "# tracecache: %d hits, %d coalesced, %d generated; runs: %d simulated, %d memo hits\n",
+			s.Hits, s.Coalesced, s.Generated, s.RunsSimulated, s.MemoHits)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -35,6 +37,28 @@ func (p Params) norm() Params {
 	return p
 }
 
+// Key identifies one generated workload by the inputs that determine
+// its content. Generation is deterministic, so equal keys always yield
+// identical traces: the key is the workload's content identity, shared
+// by the harness's trace cache and run memo and by run manifests.
+type Key struct {
+	App   string
+	CPUs  int
+	Scale int
+	Seed  uint64
+}
+
+// Hash returns the key's content address: the hex SHA-256 (first 16
+// bytes) over the tuple, with a ".trace" suffix. The "v1" prefix and
+// the suffix date from an earlier on-disk trace format; they stay so
+// that manifests written before and after its removal compare equal.
+func (k Key) Hash() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "v1\x00%s\x00%d\x00%d\x00%d", k.App, k.CPUs, k.Scale, k.Seed)
+	sum := h.Sum(nil)
+	return hex.EncodeToString(sum[:16]) + ".trace"
+}
+
 // Info describes one application generator.
 type Info struct {
 	// Name is the benchmark name used on the command line and in
@@ -50,6 +74,11 @@ type Info struct {
 
 	// Generate produces the trace.
 	Generate func(p Params) (*trace.Trace, error)
+}
+
+// Key returns the identity of the workload i generates for p.
+func (i Info) Key(p Params) Key {
+	return Key{App: i.Name, CPUs: p.CPUs, Scale: p.Scale, Seed: p.Seed}
 }
 
 var registry = map[string]Info{}

@@ -196,3 +196,21 @@ func TestSeedSensitivity(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyHashIsStable pins the workload content address. Run manifests
+// record it (telemetry.TraceRef.Hash) and the run memo keys on the
+// Key, so a change here makes old and new manifests disagree about
+// identical workloads.
+func TestKeyHashIsStable(t *testing.T) {
+	for _, c := range []struct {
+		key  Key
+		want string
+	}{
+		{Key{App: "lu", CPUs: 32, Scale: 8, Seed: 0}, "2aceab47f14c212287b13b3f1d9bf2b8.trace"},
+		{Key{App: "radix", CPUs: 32, Scale: 4, Seed: 7}, "0279f8e62ea00359b0ec6385d5d13b27.trace"},
+	} {
+		if got := c.key.Hash(); got != c.want {
+			t.Errorf("%+v.Hash() = %s, want %s", c.key, got, c.want)
+		}
+	}
+}

@@ -7,20 +7,18 @@
 // (block cache, infinite block cache, page cache), the DSM fault path
 // broken out by miss class (cold, coherence, capacity/conflict, and the
 // S-COMA relocation/replacement path), engine dispatch, columnar trace
-// streaming, trace materialization cold (generator) vs warm (on-disk
-// store), and the sweep macrobenchmarks: the full Figure 5 sweep with
-// and without telemetry, and the scale-32 rung of the scale sweep.
+// streaming, and the sweep macrobenchmarks: the full Figure 5 sweep
+// with and without telemetry, and the scale-32 rung of the scale
+// sweep.
 // End-to-end timing (the paper reproduction and the query server) is
 // perfbench's job, not this package's.
 package bench
 
 import (
 	"io"
-	"os"
 	"sync"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/dsm"
@@ -28,7 +26,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/memory"
 	"repro/internal/trace"
-	"repro/internal/trace/store"
 )
 
 // Case is one named benchmark body.
@@ -51,8 +48,6 @@ func Cases() []Case {
 		{Name: "FaultPathCapacity", Bench: FaultPathCapacity},
 		{Name: "FaultPathSCOMA", Bench: FaultPathSCOMA},
 		{Name: "TraceReplaySoA", Bench: TraceReplaySoA},
-		{Name: "StoreGenerateCold", Bench: StoreGenerateCold},
-		{Name: "StoreMaterializeWarm", Bench: StoreMaterializeWarm},
 		{Name: "Fig5Sweep", Bench: Fig5Sweep},
 		{Name: "Fig5SweepTelemetry", Bench: Fig5SweepTelemetry},
 		{Name: "ScaleSweep32", Bench: ScaleSweep32},
@@ -329,85 +324,6 @@ func TraceReplaySoA(b *testing.B) {
 	}
 	streamSink = sink
 	b.ReportMetric(float64(tr.Ops()), "trace-ops")
-}
-
-// ---------------------------------------------------------------------
-// Trace store benchmarks: cold generation vs warm disk materialization
-// of the same workload, at the same scale the Figure 5 macrobenchmark
-// replays. Their ns/op ratio is the speedup a warm store buys every
-// repeat run.
-
-// storeBenchApp is the workload both store benchmarks materialize. fmm
-// is the most generation-heavy of the paper's seven per emitted op (the
-// generator really evaluates multipole interactions), which is exactly
-// the shape of workload the store exists for; decode cost per op is
-// layout-bound and app-independent, so other apps differ mainly in how
-// much generation work the warm path skips.
-const storeBenchApp = "fmm"
-
-// storeBenchParams sizes the store benchmarks to the macro scale.
-func storeBenchParams() apps.Params {
-	return apps.Params{CPUs: config.DefaultCluster().TotalCPUs(), Scale: fig5Scale}
-}
-
-// StoreGenerateCold measures generating the workload from scratch —
-// the cost every run of every worker paid before the trace store.
-func StoreGenerateCold(b *testing.B) {
-	info, err := apps.ByName(storeBenchApp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := storeBenchParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var ops int
-	for i := 0; i < b.N; i++ {
-		tr, err := info.Generate(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ops = tr.Ops()
-	}
-	b.ReportMetric(float64(ops), "trace-ops")
-}
-
-// StoreMaterializeWarm measures the same workload materialized from a
-// warm on-disk store: one Load (read + checksum + columnar decode) per
-// iteration.
-func StoreMaterializeWarm(b *testing.B) {
-	info, err := apps.ByName(storeBenchApp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := storeBenchParams()
-	dir, err := os.MkdirTemp("", "tracestore-bench-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := store.Key{App: info.Name, CPUs: p.CPUs, Scale: p.Scale, Seed: p.Seed}
-	tr, err := info.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Save(key, tr); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var ops int
-	for i := 0; i < b.N; i++ {
-		got, ok := st.Load(key)
-		if !ok {
-			b.Fatal("warm store missed")
-		}
-		ops = got.Ops()
-	}
-	b.ReportMetric(float64(ops), "trace-ops")
 }
 
 // ---------------------------------------------------------------------

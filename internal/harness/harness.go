@@ -51,8 +51,8 @@ type Options struct {
 
 	// Seed perturbs the deterministic workload generators (0 = the
 	// paper's inputs); cholesky, lu and ocean ignore it. It participates
-	// in the trace store's content address, so distinct seeds are
-	// distinct cached workloads.
+	// in the workload's apps.Key, so distinct seeds are distinct cached
+	// workloads.
 	Seed uint64
 
 	// Fabric overrides the interconnect topology of every non-baseline
@@ -208,7 +208,7 @@ type Result struct {
 	Scale  int
 	Scales []int
 	// Traces content-addresses every workload the experiment replayed:
-	// one entry per generated trace, carrying the on-disk store hash.
+	// one entry per generated trace, carrying its apps.Key hash.
 	Traces []telemetry.TraceRef
 
 	// render writes the experiment's text report; set by the
@@ -366,7 +366,7 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 			ro.Telemetry = cols[j]
 		}
 		runStart := time.Now()
-		sim, memo, err := o.Traces.simulate(traceKey(app, params), traces[p.app], s, scl, ro)
+		sim, memo, err := o.Traces.simulate(app.Key(params), traces[p.app], s, scl, ro)
 		if err != nil {
 			return fmt.Errorf("harness: %s on %s: %w", app.Name, s.name(), err)
 		}
@@ -385,9 +385,9 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 	}
 
 	for a, app := range list {
-		tr, key := traces[a], traceKey(app, params)
+		tr, key := traces[a], app.Key(params)
 		res.Traces = append(res.Traces, telemetry.TraceRef{
-			App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Filename(),
+			App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Hash(),
 		})
 		if o.Verbose {
 			fmt.Fprintf(o.Out, "# %s: %d ops, %.1f MB footprint\n",

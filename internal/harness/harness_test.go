@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"io"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -174,5 +176,44 @@ func TestMeanNorm(t *testing.T) {
 	}
 	if got := r.MeanNorm("Y"); got != 0 {
 		t.Errorf("mean of absent system = %v, want 0", got)
+	}
+}
+
+// TestProgressLineFormat pins the "# trace" and "# run" lines that
+// Options.Progress receives. perfbench (a separate module, so never
+// built by go test ./...) parses them into spans; a reworded line
+// would silently drop its layer timings.
+func TestProgressLineFormat(t *testing.T) {
+	var progress progressLog
+	o := Options{Scale: 64, Apps: []string{"radix", "lu"}, Parallel: 2, Audit: true,
+		Traces: NewTraceCache(), Progress: &progress, Out: io.Discard}
+	// table4 re-runs fig5's systems, so the second pass has memo hits.
+	for _, name := range []string{"fig5", "table4"} {
+		if _, err := RunByName(name, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traceLine := regexp.MustCompile(`^# trace \S+ scale \d+ ready in \d+\.\d\ds \(\d+ ops\)$`)
+	runLine := regexp.MustCompile(`^# run \S+/\S+/\S+ done in \d+\.\d\ds( \(memo\))?$`)
+	var traces, runs, memo int
+	for _, line := range strings.Split(strings.TrimSuffix(progress.String(), "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# trace "):
+			traces++
+			if !traceLine.MatchString(line) {
+				t.Errorf("trace line %q does not match %s", line, traceLine)
+			}
+		case strings.HasPrefix(line, "# run "):
+			runs++
+			if strings.HasSuffix(line, " (memo)") {
+				memo++
+			}
+			if !runLine.MatchString(line) {
+				t.Errorf("run line %q does not match %s", line, runLine)
+			}
+		}
+	}
+	if traces == 0 || runs == 0 || memo == 0 {
+		t.Errorf("%d trace lines, %d run lines (%d memo); want at least one of each", traces, runs, memo)
 	}
 }

@@ -1,18 +1,18 @@
 package harness
 
 import (
+	"repro/internal/apps"
 	"repro/internal/config"
 	"repro/internal/dsm"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/trace/store"
 )
 
-// runKey content-addresses one simulation: the workload's store key
+// runKey content-addresses one simulation: the workload's apps.Key
 // plus every input that shapes the machine replaying it. Two runs with
 // equal keys are the same deterministic simulation.
 type runKey struct {
-	trace store.Key
+	trace apps.Key
 	spec  specKey
 	// cl carries the fabric with its topology canonicalized through
 	// Network.Kind, so "" and "crossbar" key alike.
@@ -54,7 +54,7 @@ func keyOfSpec(s dsm.Spec) specKey {
 // addresses) on s over cl, and whether the run memo answered instead of
 // a simulation. Runs with a telemetry collector or a custom Policy
 // constructor always simulate, as does every run through a nil cache.
-func (tc *TraceCache) simulate(tk store.Key, tr *trace.Trace, s systemRun, cl config.Cluster, ro dsm.RunOptions) (*stats.Sim, bool, error) {
+func (tc *TraceCache) simulate(tk apps.Key, tr *trace.Trace, s systemRun, cl config.Cluster, ro dsm.RunOptions) (*stats.Sim, bool, error) {
 	run := func() (*stats.Sim, error) {
 		return dsm.RunWithOptions(tr, s.spec, cl, s.tm, s.th, ro)
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/trace/store"
 )
 
 // TestRunKeyCoversSpec keeps specKey in lockstep with dsm.Spec: every
@@ -39,7 +38,7 @@ func TestRunKeyCoversSpec(t *testing.T) {
 }
 
 // memoFixture materializes a small workload for direct simulate calls.
-func memoFixture(t *testing.T, tc *TraceCache) (store.Key, *trace.Trace) {
+func memoFixture(t *testing.T, tc *TraceCache) (apps.Key, *trace.Trace) {
 	t.Helper()
 	app, err := apps.ByName("radix")
 	if err != nil {
@@ -50,7 +49,7 @@ func memoFixture(t *testing.T, tc *TraceCache) (store.Key, *trace.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return traceKey(app, p), tr
+	return app.Key(p), tr
 }
 
 // TestRunMemo pins what the run tier shares and what it never shares.

@@ -6,21 +6,22 @@ import (
 	"repro/internal/apps"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/trace/store"
 )
 
-// TraceCache shares materialized work across experiments in two tiers.
+// TraceCache shares materialized work across experiments in two tiers,
+// both in memory.
 //
 // The trace tier holds generated application traces. Workload
-// generation is deterministic for a given (app, cpus, scale, seed), and
-// replay never mutates a trace, so one materialized trace can back
-// every system and every experiment that asks for the same workload.
+// generation is deterministic for a given apps.Key (app, cpus, scale,
+// seed), and replay never mutates a trace, so one materialized trace
+// can back every system and every experiment that asks for the same
+// workload.
 //
 // The run tier is a content-addressed memo of finished simulations:
 // every figure and table normalizes to perfect CC-NUMA and re-shows
 // Figure 5's systems under the same base machine, so 112 of the 273
 // runs of an "all" pass repeat an earlier run exactly. A run is keyed by
-// its trace's store key plus everything that shapes the machine (see
+// its trace's apps.Key plus everything that shapes the machine (see
 // runKey); runs with a telemetry collector or a custom Policy
 // constructor always simulate, and failed runs are not kept. A memo hit
 // returns the same *stats.Sim the first run produced, so callers treat
@@ -32,18 +33,10 @@ import (
 // sweep's workers would each regenerate the same workload and race to
 // install it.
 //
-// A cache built with NewTraceCacheWithStore additionally reads through
-// to a content-addressed on-disk trace store (internal/trace/store):
-// trace misses try the store before generating, and generated traces
-// are written back, so repeat CLI runs and sibling processes
-// materialize workloads from disk instead of re-running generators.
-// Runs are memoized in memory only.
-//
 // Neither tier evicts: a cache lives as long as the sweep, process or
-// server that owns it. Use NewTraceCache or NewTraceCacheWithStore; a
-// nil *TraceCache disables both tiers (every call generates and
-// simulates afresh), which keeps caching strictly opt-in for callers
-// that want cold timings.
+// server that owns it. Use NewTraceCache; a nil *TraceCache disables
+// both tiers (every call generates and simulates afresh), which keeps
+// caching strictly opt-in for callers that want cold timings.
 type TraceCache struct {
 	// traces is shared by every cache WithFreshRuns derives.
 	traces *traceTier
@@ -61,24 +54,15 @@ type TraceCache struct {
 
 // traceTier is the trace half of a TraceCache.
 type traceTier struct {
-	// flights is keyed directly on the store's content-address key —
-	// the in-memory and on-disk tiers identify a workload by the same
-	// (app, cpus, scale, seed) tuple by construction.
-	flights flightGroup[store.Key, *trace.Trace]
-
-	// disk is the optional persistent tier (nil = memory only; a nil
-	// *store.Store behaves as always-miss, so no nil checks downstream).
-	disk *store.Store
+	flights flightGroup[apps.Key, *trace.Trace]
 
 	// Counters behind Stats(): how requests resolved. A request is
-	// exactly one of hit (completed in-memory entry), coalesced
-	// (joined an in-flight materialization), diskHit (this request led
-	// a flight satisfied from the on-disk store) or generated (led a
-	// flight that ran the generator). inFlight tracks flights whose
-	// result has not landed yet.
+	// exactly one of hit (completed entry), coalesced (joined an
+	// in-flight generation) or generated (led a flight whose generator
+	// succeeded). inFlight tracks flights whose result has not landed
+	// yet.
 	hits      atomic.Int64
 	coalesced atomic.Int64
-	diskHits  atomic.Int64
 	generated atomic.Int64
 	inFlight  atomic.Int64
 }
@@ -86,16 +70,14 @@ type traceTier struct {
 // TraceCacheStats is a point-in-time snapshot of the cache's request
 // counters (all zero for a nil cache).
 type TraceCacheStats struct {
-	// Hits served from a completed in-memory entry.
+	// Hits served from a completed entry.
 	Hits int64 `json:"hits"`
 	// Coalesced requests that joined another request's in-flight
-	// materialization instead of starting their own.
+	// generation instead of starting their own.
 	Coalesced int64 `json:"coalesced"`
-	// DiskHits are flights satisfied by the on-disk store.
-	DiskHits int64 `json:"disk_hits"`
 	// Generated are flights that ran a workload generator.
 	Generated int64 `json:"generated"`
-	// InFlight is the number of materializations currently running.
+	// InFlight is the number of generations currently running.
 	InFlight int64 `json:"in_flight"`
 
 	// RunsSimulated counts the simulations run through the cache,
@@ -115,7 +97,6 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 	return TraceCacheStats{
 		Hits:          t.hits.Load(),
 		Coalesced:     t.coalesced.Load(),
-		DiskHits:      t.diskHits.Load(),
 		Generated:     t.generated.Load(),
 		InFlight:      t.inFlight.Load(),
 		RunsSimulated: tc.simulated.Load(),
@@ -126,12 +107,6 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 // NewTraceCache returns an empty in-memory cache.
 func NewTraceCache() *TraceCache {
 	return &TraceCache{traces: &traceTier{}}
-}
-
-// NewTraceCacheWithStore returns a cache backed by an on-disk trace
-// store. A nil store is equivalent to NewTraceCache.
-func NewTraceCacheWithStore(st *store.Store) *TraceCache {
-	return &TraceCache{traces: &traceTier{disk: st}}
 }
 
 // WithFreshRuns returns a cache that shares tc's trace tier, counters
@@ -153,26 +128,19 @@ func (tc *TraceCache) Len() int {
 	return tc.traces.flights.completed()
 }
 
-// generate returns the cached trace for (app, params), materializing
-// (disk load, else generation) and caching it on first use; concurrent
-// requests for the same key share one materialization. A nil receiver
-// generates without caching.
+// generate returns the cached trace for (app, params), generating and
+// caching it on first use; concurrent requests for the same key share
+// one generation. A nil receiver generates without caching.
 func (tc *TraceCache) generate(app apps.Info, p apps.Params) (*trace.Trace, error) {
 	if tc == nil {
 		return app.Generate(p)
 	}
-	t, key := tc.traces, traceKey(app, p)
-	tr, how, err := t.flights.do(key, func() (*trace.Trace, error) {
+	t := tc.traces
+	tr, how, err := t.flights.do(app.Key(p), func() (*trace.Trace, error) {
 		t.inFlight.Add(1)
 		defer t.inFlight.Add(-1)
-		tr, hit, err := t.disk.LoadOrGenerate(key, func() (*trace.Trace, error) {
-			return app.Generate(p)
-		})
-		switch {
-		case err != nil:
-		case hit:
-			t.diskHits.Add(1)
-		default:
+		tr, err := app.Generate(p)
+		if err == nil {
 			t.generated.Add(1)
 		}
 		return tr, err
@@ -184,9 +152,4 @@ func (tc *TraceCache) generate(app apps.Info, p apps.Params) (*trace.Trace, erro
 		t.coalesced.Add(1)
 	}
 	return tr, err
-}
-
-// traceKey is the content address of one workload.
-func traceKey(app apps.Info, p apps.Params) store.Key {
-	return store.Key{App: app.Name, CPUs: p.CPUs, Scale: p.Scale, Seed: p.Seed}
 }

@@ -10,8 +10,8 @@ import (
 // Go randomizes map iteration order per run, so a map range whose
 // effect depends on visit order (rendering, message emission, anything
 // feeding a report, a hash or the fabric) silently breaks the
-// byte-stable outputs the golden tests, the content-addressed trace
-// store and the cross-PR sweep comparisons rely on. A loop that is
+// byte-stable outputs the golden tests, the run manifests and sweep
+// comparisons across versions rely on. A loop that is
 // genuinely order-insensitive — collecting keys to sort afterwards,
 // building another map, commutative accumulation — is annotated
 // `//lint:unordered` on or directly above the `for` statement; the

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/harness"
-	"repro/internal/trace/store"
 )
 
 // ResultFormatVersion identifies the on-disk result encoding. Bump it
@@ -22,29 +21,34 @@ const ResultFormatVersion = 1
 // dropped into the result directory can never be served as a response.
 var resultMagic = [4]byte{'D', 'R', 'S', 'R'}
 
-// castagnoli is the CRC-32C table, the same checksum discipline the
-// trace store uses.
+// castagnoli is the CRC-32C table (hardware-accelerated on
+// amd64/arm64) that checksums every result file.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ResultKey content-addresses a query's response: the hex SHA-256
 // (first 16 bytes) over the query's canonical encoding plus everything
-// else that determines the bytes — the result and trace-store format
-// versions, the Record schema, and the build commit. Two processes of
-// the same build that receive the same query compute the same key with
-// no coordination; a new build (or schema/format bump) orphans old
-// entries rather than serving stale bytes.
+// else that determines the bytes — the result format version, the
+// Record schema, and the build commit. Two processes of the same build
+// that receive the same query compute the same key with no
+// coordination; a new build (or schema/format bump) orphans old entries
+// rather than serving stale bytes.
+//
+// The literal "trace-v1" is the version of an on-disk trace format that
+// no longer exists. It stays in the hashed prefix so that keys, and the
+// result files named after them, are unchanged by its removal
+// (TestCanonicalKeyIsStable pins one).
 func ResultKey(q harness.Query, commit string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "dsm-result\x00v%d\x00trace-v%d\x00%s\x00%s\x00%s",
-		ResultFormatVersion, store.FormatVersion, harness.RecordSchema, commit, q.Canonical())
+	fmt.Fprintf(h, "dsm-result\x00v%d\x00trace-v1\x00%s\x00%s\x00%s",
+		ResultFormatVersion, harness.RecordSchema, commit, q.Canonical())
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
 }
 
 // ResultStore is a directory of memoized query responses, one file per
-// result key, named <key>.result. The payload is framed the same way
-// the trace store frames traces — magic, version byte, body, CRC-32C
-// trailer — written to a temp file and renamed into place so a
+// result key, named <key>.result. The payload is framed as magic,
+// version byte, body and CRC-32C trailer, written to a temp file and
+// renamed into place so a
 // concurrent reader sees either nothing or a complete file. Any decode
 // failure is a silent miss that deletes the offender: corrupt entries
 // recompute, they never surface as errors. A nil *ResultStore disables

@@ -7,12 +7,14 @@
 //
 // Result memoization: every response is content-addressed by ResultKey
 // — the SHA-256 of the query's canonical encoding (harness.Query
-// .Canonical), the result and trace-store format versions, the Record
-// schema, and the build commit — and cached in a bounded in-memory LRU
-// backed by an on-disk ResultStore with the trace store's atomic
-// temp+rename and CRC-32C discipline. A repeated query is a map lookup;
-// a server restart warms from disk; a new build computes fresh results
-// instead of replaying a stale schema.
+// .Canonical), the result format version, the Record schema, and the
+// build commit — and cached in a bounded in-memory LRU backed by an
+// on-disk ResultStore (atomic temp+rename writes, CRC-32C-checked
+// reads). A repeated query is a map lookup; a server restart warms
+// from disk; a new build computes fresh results instead of replaying a
+// stale schema. Underneath, one in-memory harness.TraceCache shares
+// generated workloads and finished runs across queries, so
+// overlapping queries simulate a shared run once.
 //
 // Single-flight coalescing: N concurrent identical cold queries
 // trigger exactly one simulation — the first request leads the flight,
@@ -92,12 +94,6 @@ type Config struct {
 	// harness (<= 0 selects 1: the pool provides the concurrency, and
 	// one core per simulation keeps tail latency predictable).
 	Parallel int
-
-	// Traces shares generated workloads and finished runs across
-	// queries, so overlapping queries simulate a shared run once (nil
-	// creates a fresh in-memory TraceCache; pass
-	// NewTraceCacheWithStore to add the persistent trace tier).
-	Traces *harness.TraceCache
 
 	// Commit pins result keys to a build ("" reads the running
 	// binary's VCS stamp via telemetry.BuildCommit; tests inject a
@@ -180,9 +176,6 @@ func newServer(cfg Config, run runner) *Server {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = 1
 	}
-	if cfg.Traces == nil {
-		cfg.Traces = harness.NewTraceCache()
-	}
 	if cfg.Commit == "" {
 		cfg.Commit = telemetry.BuildCommit()
 	}
@@ -191,7 +184,7 @@ func newServer(cfg Config, run runner) *Server {
 		store:    cfg.Store,
 		cache:    newResultLRU(cfg.CacheEntries),
 		pool:     newWorkPool(cfg.Workers, cfg.QueueDepth),
-		traces:   cfg.Traces,
+		traces:   harness.NewTraceCache(),
 		commit:   cfg.Commit,
 		run:      run,
 		parallel: cfg.Parallel,

@@ -13,10 +13,10 @@ import (
 // ManifestSchema identifies the manifest document format.
 const ManifestSchema = "repro-run-manifest/v1"
 
-// TraceRef identifies one generated workload by its content address in
-// the on-disk trace store: the hash is the store filename, a SHA-256 of
-// (format version, app, cpus, scale, seed), so two manifests with equal
-// hashes replayed byte-identical inputs.
+// TraceRef identifies one generated workload by its content address:
+// the hash is apps.Key.Hash, a SHA-256 of (app, cpus, scale, seed).
+// Generation is deterministic, so two manifests with equal hashes
+// replayed byte-identical inputs.
 type TraceRef struct {
 	App   string `json:"app"`
 	CPUs  int    `json:"cpus"`

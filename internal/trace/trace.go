@@ -17,9 +17,8 @@
 // Gaps ([]uint32) and Args ([]uint64) — instead of a slice of 16-byte Op
 // structs. Replay walks the three columns directly (13 B/op of payload,
 // no padding, and the kind column alone fits ~64 ops per cache line),
-// generation appends straight into the columns through the Recorder, and
-// the on-disk format of trace/store serializes each column independently
-// so per-CPU sections encode and decode in parallel. The Op struct
+// and generation appends straight into the columns through the
+// Recorder. The Op struct
 // survives as the row-at-a-time view: Stream.Op(i), Stream.Append and
 // Cursor assemble or scatter rows at the column boundary, which is the
 // convenient form for tests and hand-built traces.
