@@ -6,22 +6,20 @@
 // shared-memory applications, and a harness regenerating every table and
 // figure of the paper's evaluation.
 //
-// # Memory systems are pluggable policies
+// # Memory systems are named Specs
 //
 // The paper's whole contribution is a comparison across memory-system
-// policies, so the policy layer is a first-class API. A system is
-// described in three layers (internal/dsm): a Spec carries the
-// hardware configuration and is validated at construction; a Policy
-// supplies the decision hooks the fault paths call (remote-miss
-// handling, relocation decisions, page-cache eviction choice,
-// per-interval counter maintenance); and a package-level registry
+// policies. A system is described in two layers (internal/dsm): a Spec
+// carries the hardware configuration and the flags that select its
+// decision rules (migration/replication thresholds, R-NUMA relocation,
+// static S-COMA placement, deferring page moves on hot routes) and is
+// validated at construction; and a package-level registry
 // (dsm.Register / dsm.Lookup / dsm.Systems) maps stable names —
 // "ccnuma", "migrep", "rnuma-half-migrep", ... — to Spec constructors,
 // mirroring how internal/apps registers workloads. Every CLI and the
-// harness resolve systems only by these names, so a new policy plugs
-// in end to end without touching the protocol core; the
-// contention-aware "migrep-contend" (defer page moves while their
-// route is the fabric's hot spot) is registered exactly this way.
+// harness resolve systems only by these names; the contention-aware
+// "migrep-contend" (defer page moves while their route is the fabric's
+// hot spot) is MigRep with one more flag set.
 //
 // # Experiments return structured results
 //
@@ -37,15 +35,15 @@
 // # Beyond the paper
 //
 // internal/interconnect models the cluster fabric as an explicit graph
-// with pluggable topologies (ideal crossbar, ring, 2D mesh, fat-tree),
-// deterministic routing, per-link byte counters and optional finite
-// link bandwidth; every protocol message the machines exchange is
-// routed over it. The default ideal crossbar reproduces the paper's
-// flat network-latency model exactly, while the topology-sweep
-// experiment (cmd/experiments -experiment toposweep) re-runs the
-// Figure 5 comparison across fabrics and reports maximum per-link and
-// bisection traffic — where migration/replication's bulk 4-KB page
-// moves congest links that fine-grain 64-byte caching does not.
+// with four fixed topologies (ideal crossbar, ring, 2D mesh, fat-tree),
+// deterministic routing, a per-hop latency and per-link byte counters;
+// every protocol message the machines exchange is routed over it. The
+// default ideal crossbar reproduces the paper's flat network-latency
+// model exactly, while the topology-sweep experiment (cmd/experiments
+// -experiment toposweep) re-runs the Figure 5 comparison across fabrics
+// and reports maximum per-link and bisection traffic — where
+// migration/replication's bulk 4-KB page moves congest links that
+// fine-grain 64-byte caching does not.
 //
 // internal/telemetry adds time-resolved observability on top of the
 // end-of-run statistics: windowed series keyed by simulated time (page

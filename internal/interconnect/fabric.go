@@ -4,20 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/engine"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// Fabric is a Topology instantiated with timing: per-hop latency, an
-// engine.Resource per link modeling finite bandwidth with FIFO queuing,
-// and per-link byte/message counters. All methods are deterministic.
+// Fabric is a Topology instantiated with timing: a per-hop latency and
+// per-link byte/message counters. Links have infinite bandwidth, so a
+// message never queues. All methods are deterministic.
 type Fabric struct {
-	topo          Topology
-	hopLatency    int64
-	bytesPerCycle int64 // 0 = infinite bandwidth (no link occupancy)
+	topo       Topology
+	hopLatency int64
 
-	res       []*engine.Resource
 	linkBytes []int64
 	linkMsgs  []int64
 
@@ -46,9 +43,8 @@ type Fabric struct {
 }
 
 // New builds the fabric described by a config.Network for the given node
-// count. The zero-value Network yields the ideal crossbar with hop
-// latency tm.NetworkLatency and infinite bandwidth — the paper's
-// original flat network model.
+// count, with hop latency tm.NetworkLatency. The zero-value Network
+// yields the ideal crossbar — the paper's original flat network model.
 func New(net config.Network, nodes int, tm config.Timing) (*Fabric, error) {
 	if err := net.Validate(nodes); err != nil {
 		return nil, err
@@ -61,36 +57,27 @@ func New(net config.Network, nodes int, tm config.Timing) (*Fabric, error) {
 	case config.TopoRing:
 		topo = NewRing(nodes)
 	case config.TopoMesh:
-		topo, err = NewMesh(nodes, net.MeshWidth)
+		topo = NewMesh(nodes)
 	case config.TopoFatTree:
-		topo, err = NewFatTree(nodes, net.FatTreeArity)
+		topo, err = NewFatTree(nodes)
 	default:
 		err = fmt.Errorf("interconnect: unknown topology %q", net.Topology)
 	}
 	if err != nil {
 		return nil, err
 	}
-	hop := net.HopLatency
-	if hop == 0 {
-		hop = tm.NetworkLatency
-	}
-	return NewFabric(topo, hop, net.LinkBytesPerCycle), nil
+	return NewFabric(topo, tm.NetworkLatency), nil
 }
 
-// NewFabric wraps a topology with timing parameters directly.
-func NewFabric(topo Topology, hopLatency, bytesPerCycle int64) *Fabric {
+// NewFabric wraps a topology with a per-hop latency directly.
+func NewFabric(topo Topology, hopLatency int64) *Fabric {
 	links := topo.Links()
 	f := &Fabric{
-		topo:          topo,
-		hopLatency:    hopLatency,
-		bytesPerCycle: bytesPerCycle,
-		res:           make([]*engine.Resource, len(links)),
-		linkBytes:     make([]int64, len(links)),
-		linkMsgs:      make([]int64, len(links)),
-		pairBytes:     make([][]int64, topo.Nodes()),
-	}
-	for i, l := range links {
-		f.res[i] = engine.NewResource(l.Name)
+		topo:       topo,
+		hopLatency: hopLatency,
+		linkBytes:  make([]int64, len(links)),
+		linkMsgs:   make([]int64, len(links)),
+		pairBytes:  make([][]int64, topo.Nodes()),
 	}
 	for i := range f.pairBytes {
 		f.pairBytes[i] = make([]int64, topo.Nodes())
@@ -144,20 +131,10 @@ func (f *Fabric) Violations() []string { return f.violations.All() }
 // The windowed totals therefore reconcile exactly with LinkBytes.
 func (f *Fabric) SetObserver(o *telemetry.Collector) { f.obs = o }
 
-// occupancy is how long a message of the given size holds each link.
-//
-//repro:hotpath
-func (f *Fabric) occupancy(bytes int64) int64 {
-	if f.bytesPerCycle <= 0 {
-		return 0
-	}
-	return (bytes + f.bytesPerCycle - 1) / f.bytesPerCycle
-}
-
 // Traverse routes one message of the given size from src to dst starting
-// at time now: every link on the route is charged the message's bytes
-// and, under finite bandwidth, occupied in sequence with FIFO queuing.
-// It returns the arrival time at dst. A message to the sending node
+// at time now: every link on the route is charged the message's bytes,
+// and the message reaches each next hop one hop latency later. It
+// returns the arrival time at dst. A message to the sending node
 // itself crosses no link and arrives immediately; its bytes are
 // accounted as local.
 //
@@ -174,16 +151,12 @@ func (f *Fabric) Traverse(src, dst int, bytes int64, now int64) int64 {
 		return now
 	}
 	f.pairBytes[src][dst] += bytes
-	occ := f.occupancy(bytes)
 	t := now
 	for _, id := range route {
 		f.linkBytes[id] += bytes
 		f.linkMsgs[id]++
 		if f.obs != nil {
 			f.obs.Link(id, bytes, t)
-		}
-		if occ > 0 {
-			t = f.res[id].Acquire(t, occ)
 		}
 		t += f.hopLatency
 	}
@@ -192,8 +165,7 @@ func (f *Fabric) Traverse(src, dst int, bytes int64, now int64) int64 {
 
 // Deliver is Traverse for messages nothing waits on (asynchronous
 // writebacks, invalidation fan-out, bulk page copies overlapped with
-// their fixed cost): links are charged and occupied, the arrival time is
-// discarded.
+// their fixed cost): links are charged, the arrival time is discarded.
 //
 //repro:hotpath
 func (f *Fabric) Deliver(src, dst int, bytes int64, now int64) {

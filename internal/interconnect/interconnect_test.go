@@ -9,15 +9,11 @@ import (
 // topologies under test, with the hop count each promises for a route.
 func testTopologies(t *testing.T, n int) []Topology {
 	t.Helper()
-	mesh, err := NewMesh(n, 0)
+	ft, err := NewFatTree(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := NewFatTree(n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Topology{NewCrossbar(n), NewRing(n), mesh, ft}
+	return []Topology{NewCrossbar(n), NewRing(n), NewMesh(n), ft}
 }
 
 // TestRoutesAreConnectedPaths checks the structural invariant every
@@ -101,10 +97,7 @@ func TestRingShortestPath(t *testing.T) {
 }
 
 func TestMeshDimensionOrder(t *testing.T) {
-	m, err := NewMesh(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMesh(8)
 	if w, h := m.Dims(); w != 4 || h != 2 {
 		t.Fatalf("mesh dims = %dx%d", w, h)
 	}
@@ -142,7 +135,7 @@ func TestMeshDimensionOrder(t *testing.T) {
 }
 
 func TestFatTreeUpDown(t *testing.T) {
-	f, err := NewFatTree(8, 4)
+	f, err := NewFatTree(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +145,8 @@ func TestFatTreeUpDown(t *testing.T) {
 	if got := len(f.Route(0, 7)); got != 4 {
 		t.Errorf("cross-leaf route has %d hops, want 4", got)
 	}
-	if _, err := NewFatTree(8, 3); err == nil {
-		t.Error("arity 3 over 8 nodes should fail")
+	if _, err := NewFatTree(6); err == nil {
+		t.Error("arity 4 over 6 nodes should fail")
 	}
 }
 
@@ -193,7 +186,7 @@ func TestCrossbarTraverseMatchesFlatLatency(t *testing.T) {
 // by each pair's route hop count.
 func TestTraverseConservation(t *testing.T) {
 	for _, topo := range testTopologies(t, 8) {
-		f := NewFabric(topo, 80, 0)
+		f := NewFabric(topo, 80)
 		var injected int64
 		for src := 0; src < 8; src++ {
 			for dst := 0; dst < 8; dst++ {
@@ -220,23 +213,8 @@ func TestTraverseConservation(t *testing.T) {
 	}
 }
 
-// TestFiniteBandwidthQueues checks the contention model: two messages
-// injected at the same time on the same link serialize.
-func TestFiniteBandwidthQueues(t *testing.T) {
-	f := NewFabric(NewRing(4), 10, 8) // 8 bytes/cycle
-	// 64-byte message occupies each link for 8 cycles.
-	t1 := f.Traverse(0, 1, 64, 0)
-	t2 := f.Traverse(0, 1, 64, 0)
-	if t1 != 8+10 {
-		t.Errorf("first traverse = %d, want 18", t1)
-	}
-	if t2 != 16+10 {
-		t.Errorf("queued traverse = %d, want 26", t2)
-	}
-}
-
 func TestBisectionBytes(t *testing.T) {
-	f := NewFabric(NewRing(8), 80, 0)
+	f := NewFabric(NewRing(8), 80)
 	f.Traverse(0, 7, 100, 0) // crosses the 0..3 | 4..7 cut
 	f.Traverse(1, 2, 50, 0)  // stays in the lower half
 	ns := f.Snapshot()
@@ -246,7 +224,7 @@ func TestBisectionBytes(t *testing.T) {
 }
 
 func TestExtraHopLatency(t *testing.T) {
-	xbar := NewFabric(NewCrossbar(8), 80, 0)
+	xbar := NewFabric(NewCrossbar(8), 80)
 	for s := 0; s < 8; s++ {
 		for d := 0; d < 8; d++ {
 			if got := xbar.ExtraHopLatency(s, d); got != 0 {
@@ -254,7 +232,7 @@ func TestExtraHopLatency(t *testing.T) {
 			}
 		}
 	}
-	ring := NewFabric(NewRing(8), 80, 0)
+	ring := NewFabric(NewRing(8), 80)
 	if got := ring.ExtraHopLatency(0, 4); got != 3*80 {
 		t.Errorf("ring extra 0->4 = %d, want 240", got)
 	}
@@ -287,8 +265,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(config.Network{Topology: "torus"}, 8, tm); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if _, err := New(config.Network{Topology: config.TopoMesh, MeshWidth: 3}, 8, tm); err == nil {
-		t.Error("mesh width 3 over 8 nodes accepted")
+	if _, err := New(config.Network{Topology: config.TopoFatTree}, 6, tm); err == nil {
+		t.Error("fat-tree over 6 nodes accepted")
 	}
 }
 
@@ -298,7 +276,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // violation, while injections at or after the floor — including ones at
 // an earlier absolute time after the floor moved back — are clean.
 func TestAuditFlagsPastInjection(t *testing.T) {
-	f := NewFabric(NewRing(8), 10, 0)
+	f := NewFabric(NewRing(8), 10)
 	f.EnableAudit()
 	f.SetAuditFloor(1000)
 	f.Traverse(0, 1, 64, 1000) // at the floor: fine
@@ -325,7 +303,7 @@ func TestAuditFlagsPastInjection(t *testing.T) {
 
 // TestAuditOffRecordsNothing checks audit mode is strictly opt-in.
 func TestAuditOffRecordsNothing(t *testing.T) {
-	f := NewFabric(NewRing(8), 10, 0)
+	f := NewFabric(NewRing(8), 10)
 	f.SetAuditFloor(1000)
 	f.Traverse(0, 1, 64, 0)
 	if got := f.Violations(); len(got) != 0 {
@@ -336,7 +314,7 @@ func TestAuditOffRecordsNothing(t *testing.T) {
 // TestSnapshotPairsMatchFabric checks the published NetStats pair
 // matrix is a faithful copy of the fabric's injection ground truth.
 func TestSnapshotPairsMatchFabric(t *testing.T) {
-	f := NewFabric(NewRing(4), 10, 0)
+	f := NewFabric(NewRing(4), 10)
 	f.Traverse(0, 2, 100, 0)
 	f.Traverse(3, 1, 50, 0)
 	f.Traverse(1, 1, 8, 0) // local

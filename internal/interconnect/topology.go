@@ -1,15 +1,14 @@
 // Package interconnect models the cluster fabric as an explicit graph
-// of nodes, switches and unidirectional links with pluggable topologies
-// and deterministic routing. A Fabric wraps a Topology with per-link latency,
-// bandwidth occupancy (via engine.Resource FIFO queuing) and per-link
-// byte/message counters, so that every protocol message the DSM machines
-// exchange can be attributed to the physical links it crosses.
+// of nodes, switches and unidirectional links with one of four fixed
+// topologies and deterministic routing. A Fabric wraps a Topology with
+// a per-hop latency and per-link byte/message counters, so that every
+// protocol message the DSM machines exchange can be attributed to the
+// physical links it crosses. Links have infinite bandwidth.
 //
 // The ideal crossbar — one dedicated single-hop link per ordered node
-// pair, infinite bandwidth — reproduces the paper's original flat
-// network-latency model exactly while still attributing traffic per
-// link; the ring, 2D mesh and fat-tree fabrics open the topology axis
-// the paper holds fixed.
+// pair — reproduces the paper's original flat network-latency model
+// exactly while still attributing traffic per link; the ring, 2D mesh
+// and fat-tree fabrics open the topology axis the paper holds fixed.
 package interconnect
 
 import (
@@ -198,18 +197,9 @@ func MeshDims(n int) (w, h int) {
 	return n / h, h
 }
 
-// NewMesh builds a mesh over n nodes. width 0 picks the most nearly
-// square factorization; otherwise width must divide n.
-func NewMesh(n, width int) (*Mesh, error) {
-	var w, h int
-	if width == 0 {
-		w, h = MeshDims(n)
-	} else {
-		if width < 1 || n%width != 0 {
-			return nil, fmt.Errorf("interconnect: mesh width %d does not tile %d nodes", width, n)
-		}
-		w, h = width, n/width
-	}
+// NewMesh builds the most nearly square mesh over n nodes (MeshDims).
+func NewMesh(n int) *Mesh {
+	w, h := MeshDims(n)
 	m := &Mesh{nodes: n, width: w, height: h, linkAt: make(map[[2]int]int)}
 	add := func(from, to int) {
 		m.linkAt[[2]int{from, to}] = len(m.links)
@@ -232,7 +222,7 @@ func NewMesh(n, width int) (*Mesh, error) {
 		}
 	}
 	m.routes = precomputeRoutes(n, m.computeRoute)
-	return m, nil
+	return m
 }
 
 // Name implements Topology.
@@ -295,13 +285,11 @@ type FatTree struct {
 	leafUp, leafDown []int
 }
 
-// NewFatTree builds a fat-tree over n nodes with the given leaf arity
-// (0 means config.DefaultFatTreeArity). arity must divide n.
-func NewFatTree(n, arity int) (*FatTree, error) {
-	if arity == 0 {
-		arity = config.DefaultFatTreeArity
-	}
-	if arity < 1 || n%arity != 0 {
+// NewFatTree builds a fat-tree over n nodes with config.FatTreeArity
+// nodes per leaf switch, which must divide n.
+func NewFatTree(n int) (*FatTree, error) {
+	arity := config.FatTreeArity
+	if n%arity != 0 {
 		return nil, fmt.Errorf("interconnect: fat-tree arity %d does not divide %d nodes", arity, n)
 	}
 	f := &FatTree{
